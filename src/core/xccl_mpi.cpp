@@ -217,17 +217,15 @@ xccl::CclComm& XcclMpi::ccl_comm(mini::Comm& comm) {
 
 // ---- Plan/execute split -----------------------------------------------------
 
-std::shared_ptr<const Plan> XcclMpi::plan_for(CollOp op, std::size_t bytes,
-                                              DataType base, ReduceOp redop,
-                                              const void* a, const void* b,
-                                              mini::Comm& comm) {
+std::shared_ptr<const Plan> XcclMpi::plan_for(const CollArgs& a) {
+  const std::size_t bytes = a.bytes();
   PlanKey key;
-  key.op = op;
-  key.base = base;
-  key.redop = redop;
-  key.device = any_device_buffer(a, b);
+  key.op = a.op;
+  key.base = a.dt.base;
+  key.redop = a.redop;
+  key.device = any_device_buffer(a.sendbuf, a.recvbuf);
   key.size_class = plan_size_class(bytes);
-  key.comm_uid = comm.uid();
+  key.comm_uid = a.comm->uid();
   if (std::shared_ptr<Plan> hit = plans_.find(key, bytes)) {
     // Chain validity: a hier plan is only good at the level-config epoch it
     // captured (the spec changing between reconfigurations must miss, not
@@ -235,8 +233,6 @@ std::shared_ptr<const Plan> XcclMpi::plan_for(CollOp op, std::size_t bytes,
     // guards direct hier().set_levels() callers too.
     if (hit->hier == nullptr || hit->hier_epoch == hier_->config_epoch()) {
       ctr_plan_hit_->add(1, rank());
-      current_plan_id_ = hit->id;
-      obs::fleet::note_plan(rank(), hit->id);
       return hit;
     }
   }
@@ -244,9 +240,7 @@ std::shared_ptr<const Plan> XcclMpi::plan_for(CollOp op, std::size_t bytes,
   // call site (uids are rank-local values but assigned in the same order),
   // so hit/miss agrees across ranks and the collective build cannot skew.
   ctr_plan_miss_->add(1, rank());
-  std::shared_ptr<Plan> plan = build_plan(key, op, bytes, comm);
-  current_plan_id_ = plan->id;
-  obs::fleet::note_plan(rank(), plan->id);
+  std::shared_ptr<Plan> plan = build_plan(key, a.op, bytes, *a.comm);
   const std::size_t evicted = plans_.insert(plan);
   if (evicted > 0) ctr_plan_evict_->add(evicted, rank());
   return plan;
@@ -371,9 +365,36 @@ std::string XcclMpi::profile_report() const {
   return os.str();
 }
 
-void XcclMpi::note(CollOp op, std::size_t bytes, const EnginePick& pick,
-                   Engine engine, bool fell_back, bool composed,
-                   obs::FallbackReason reason, std::string level_path) {
+void XcclMpi::note(const Route& route, Engine engine, bool fell_back,
+                   bool composed, obs::FallbackReason reason,
+                   std::string level_path) {
+  note(engine, route.bytes, fell_back, composed);
+
+  obs::DispatchDecision d;
+  d.rank = rank();
+  d.op = route.op;
+  d.bytes = route.bytes;
+  d.mode = route.mode;
+  d.breakpoint = route.pick.breakpoint;
+  d.table_choice = route.pick.table_choice;
+  d.engine = engine;
+  d.reason = reason;
+  d.fell_back = fell_back;
+  d.composed = composed;
+  d.level_path = std::move(level_path);
+  d.time_us = context().clock().now();
+  // A replay's routing is explained by its init-time ring entry; its record
+  // keeps seq 0, marking it synthetic.
+  if (route.flavor != Flavor::Replay) {
+    d.seq = obs::DecisionLog::instance().push(d);
+  }
+  last_decision_ = std::move(d);
+
+  obs::Registry::instance().record_call(route.op, engine, rank(), route.bytes);
+}
+
+void XcclMpi::note(Engine engine, std::size_t bytes, bool fell_back,
+                   bool composed) {
   ++note_seq_;
   last_ = Dispatch{engine, fell_back, composed};
   last_bytes_ = bytes;
@@ -392,282 +413,352 @@ void XcclMpi::note(CollOp op, std::size_t bytes, const EnginePick& pick,
       break;
   }
   if (fell_back) ++stats_.fallbacks;
-
-  obs::DispatchDecision d;
-  d.rank = rank();
-  d.op = op;
-  d.bytes = bytes;
-  d.mode = options_.mode;
-  d.breakpoint = pick.breakpoint;
-  d.table_choice = pick.table_choice;
-  d.engine = engine;
-  d.reason = reason;
-  d.fell_back = fell_back;
-  d.composed = composed;
-  d.level_path = std::move(level_path);
-  d.time_us = context().clock().now();
-  d.seq = obs::DecisionLog::instance().push(d);
-  last_decision_ = d;
-
-  obs::Registry::instance().record_call(op, engine, rank(), bytes);
 }
 
-void XcclMpi::note(Engine engine, bool fell_back, bool composed) {
-  ++note_seq_;
-  last_ = Dispatch{engine, fell_back, composed};
-  last_bytes_ = 0;
-  switch (engine) {
-    case Engine::Xccl: ++stats_.xccl_calls; break;
-    case Engine::Hier: ++stats_.hier_calls; break;
-    case Engine::Mpi: ++stats_.mpi_calls; break;
+bool XcclMpi::settle_xccl(XcclResult r, const Route& route, bool composed) {
+  if (ok(r)) {
+    if (route.flavor == Flavor::Blocking) {
+      context().stream().synchronize(context().clock());
+    }
+    // Success keeps the pick's own reason: a hier->xccl remap made at pick
+    // time (HierOpUnsupported) stays visible in the decision log.
+    note(route, Engine::Xccl, false, composed, route.pick.reason);
+    return true;
   }
-  if (fell_back) ++stats_.fallbacks;
+  if (!options_.allow_fallback || !is_fallback_result(r)) {
+    throw Error("XcclMpi::" + std::string(to_string(route.op)) +
+                ": xccl path failed: " + std::string(to_string(r)));
+  }
+  MPIXCCL_LOG_DEBUG("core", "fallback to MPI: ", to_string(r));
+  note(route, Engine::Mpi, true, false, obs::fallback_reason_of(r));
+  return false;
 }
 
-// Shared tail for builtin-backed collectives: run the xccl op; on success
-// synchronize (blocking MPI semantics); on a capability error fall back
-// (recording the machine-readable reason the result code maps to). Success
-// keeps the pick's own reason: a hier->xccl remap made at pick time (e.g.
-// HierOpUnsupported) stays visible in the decision log as a redirect.
-// Returns true when the xccl path handled the call.
-#define MPIXCCL_TRY_XCCL(op_, bytes_, pick_, op_expr, composed_flag)      \
-  do {                                                                    \
-    device::Stream& stream_ = context().stream();                        \
-    const XcclResult r_ = (op_expr);                                      \
-    if (ok(r_)) {                                                         \
-      stream_.synchronize(context().clock());                            \
-      note(op_, bytes_, pick_, Engine::Xccl, false, composed_flag,        \
-           (pick_).reason);                                               \
-      return true;                                                        \
-    }                                                                     \
-    if (options_.allow_fallback && is_fallback_result(r_)) {              \
-      MPIXCCL_LOG_DEBUG("core", "fallback to MPI: ", to_string(r_));      \
-      note(op_, bytes_, pick_, Engine::Mpi, true, false,                  \
-           obs::fallback_reason_of(r_));                                  \
-      return false;                                                       \
-    }                                                                     \
-    throw_if_error(r_, "XcclMpi xccl path"); /* always throws here */     \
-    return false;                                                         \
-  } while (false)
+// ---- Plan-backed collectives: one path for every flavour -------------------
 
-void XcclMpi::barrier(mini::Comm& comm) {
-  // Barriers carry no data: the MPI dissemination barrier is strictly
-  // cheaper than a CCL launch, so the hybrid always routes it to MPI.
-  note(Engine::Mpi, false, false);
-  mpi_.barrier(comm);
-}
-
-void XcclMpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
-                        mini::Datatype dt, ReduceOp op, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Allreduce);
-  if (sendbuf == mini::kInPlace) sendbuf = recvbuf;
-  const std::size_t bytes = count * dt.size();
-  const auto p =
-      plan_for(CollOp::Allreduce, bytes, dt.base, op, sendbuf, recvbuf, comm);
-  exec_allreduce(*p, sendbuf, recvbuf, count, dt, op, comm);
-}
-
-void XcclMpi::exec_allreduce(const Plan& p, const void* sendbuf, void* recvbuf,
+CollArgs CollArgs::allreduce(const void* sendbuf, void* recvbuf,
                              std::size_t count, mini::Datatype dt, ReduceOp op,
                              mini::Comm& comm) {
-  const std::size_t bytes = count * dt.size();
-  const EnginePick& pick = p.pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->allreduce(*p.hier, sendbuf, recvbuf, count, dt, op, comm)) {
-      note(CollOp::Allreduce, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p.hier->level_path);
-      return;
-    }
-    // Not node-blocked (or op/type outside hier's set): flat MPI.
-    note(CollOp::Allreduce, bytes, pick, Engine::Mpi, true, false,
-         p.hier->usable ? obs::FallbackReason::HierOpUnsupported
-                        : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    auto run = [&]() -> bool {
-      MPIXCCL_TRY_XCCL(CollOp::Allreduce, bytes, pick,
-                       backend_->all_reduce(sendbuf, recvbuf, count * dt.count,
-                                            dt.base, op, *p.ccl,
-                                            context().stream()),
-                       false);
-    };
-    if (run()) return;
-  } else {
-    note(CollOp::Allreduce, bytes, pick, Engine::Mpi, false, false,
-         pick.reason);
-  }
-  mpi_.allreduce(sendbuf, recvbuf, count, dt, op, comm);
+  if (sendbuf == mini::kInPlace) sendbuf = recvbuf;
+  return {CollOp::Allreduce, sendbuf, recvbuf, count, dt, count, dt, op, 0,
+          &comm};
 }
 
-void XcclMpi::bcast(void* buf, std::size_t count, mini::Datatype dt, int root,
-                    mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Bcast);
-  const std::size_t bytes = count * dt.size();
-  const auto p = plan_for(CollOp::Bcast, bytes, dt.base, ReduceOp::Sum, buf,
-                          nullptr, comm);
-  exec_bcast(*p, buf, count, dt, root, comm);
+CollArgs CollArgs::bcast(void* buf, std::size_t count, mini::Datatype dt,
+                         int root, mini::Comm& comm) {
+  return {CollOp::Bcast, nullptr, buf, count, dt, count, dt, ReduceOp::Sum,
+          root, &comm};
 }
 
-void XcclMpi::exec_bcast(const Plan& p, void* buf, std::size_t count,
-                         mini::Datatype dt, int root, mini::Comm& comm) {
-  const std::size_t bytes = count * dt.size();
-  const EnginePick& pick = p.pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->bcast(*p.hier, buf, count, dt, root, comm)) {
-      note(CollOp::Bcast, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p.hier->level_path);
-      return;
-    }
-    note(CollOp::Bcast, bytes, pick, Engine::Mpi, true, false,
-         p.hier->usable ? obs::FallbackReason::HierOpUnsupported
-                        : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    auto run = [&]() -> bool {
-      MPIXCCL_TRY_XCCL(CollOp::Bcast, bytes, pick,
-                       backend_->broadcast(buf, count * dt.count, dt.base, root,
-                                           *p.ccl, context().stream()),
-                       false);
-    };
-    if (run()) return;
-  } else {
-    note(CollOp::Bcast, bytes, pick, Engine::Mpi, false, false, pick.reason);
-  }
-  mpi_.bcast(buf, count, dt, root, comm);
-}
-
-void XcclMpi::reduce(const void* sendbuf, void* recvbuf, std::size_t count,
-                     mini::Datatype dt, ReduceOp op, int root, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Reduce);
+CollArgs CollArgs::reduce(const void* sendbuf, void* recvbuf, std::size_t count,
+                          mini::Datatype dt, ReduceOp op, int root,
+                          mini::Comm& comm) {
   if (sendbuf == mini::kInPlace && comm.rank() == root) sendbuf = recvbuf;
-  const std::size_t bytes = count * dt.size();
-  const auto p =
-      plan_for(CollOp::Reduce, bytes, dt.base, op, sendbuf, recvbuf, comm);
-  exec_reduce(*p, sendbuf, recvbuf, count, dt, op, root, comm);
+  return {CollOp::Reduce, sendbuf, recvbuf, count, dt, count, dt, op, root,
+          &comm};
 }
 
-void XcclMpi::exec_reduce(const Plan& p, const void* sendbuf, void* recvbuf,
-                          std::size_t count, mini::Datatype dt, ReduceOp op,
-                          int root, mini::Comm& comm) {
-  const std::size_t bytes = count * dt.size();
-  const EnginePick& pick = p.pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->reduce(*p.hier, sendbuf, recvbuf, count, dt, op, root, comm)) {
-      note(CollOp::Reduce, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p.hier->level_path);
-      return;
-    }
-    note(CollOp::Reduce, bytes, pick, Engine::Mpi, true, false,
-         p.hier->usable ? obs::FallbackReason::HierOpUnsupported
-                        : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    auto run = [&]() -> bool {
-      MPIXCCL_TRY_XCCL(CollOp::Reduce, bytes, pick,
-                       backend_->reduce(sendbuf, recvbuf, count * dt.count,
-                                        dt.base, op, root, *p.ccl,
-                                        context().stream()),
-                       false);
-    };
-    if (run()) return;
-  } else {
-    note(CollOp::Reduce, bytes, pick, Engine::Mpi, false, false, pick.reason);
-  }
-  mpi_.reduce(sendbuf, recvbuf, count, dt, op, root, comm);
-}
-
-void XcclMpi::allgather(const void* sendbuf, std::size_t sendcount,
-                        mini::Datatype st, void* recvbuf, std::size_t recvcount,
-                        mini::Datatype rt, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Allgather);
+CollArgs CollArgs::allgather(const void* sendbuf, std::size_t sendcount,
+                             mini::Datatype st, void* recvbuf,
+                             std::size_t recvcount, mini::Datatype rt,
+                             mini::Comm& comm) {
   if (sendbuf == mini::kInPlace) {
     sendbuf = cat(recvbuf, static_cast<std::size_t>(comm.rank()) * recvcount *
                                rt.size());
     sendcount = recvcount;
     st = rt;
   }
-  const std::size_t bytes = sendcount * st.size();
-  const auto p = plan_for(CollOp::Allgather, bytes, st.base, ReduceOp::Sum,
-                          sendbuf, recvbuf, comm);
-  exec_allgather(*p, sendbuf, sendcount, st, recvbuf, recvcount, rt, comm);
+  return {CollOp::Allgather, sendbuf, recvbuf, sendcount, st, recvcount, rt,
+          ReduceOp::Sum, 0, &comm};
 }
 
-void XcclMpi::exec_allgather(const Plan& p, const void* sendbuf,
-                             std::size_t sendcount, mini::Datatype st,
-                             void* recvbuf, std::size_t recvcount,
-                             mini::Datatype rt, mini::Comm& comm) {
-  const std::size_t bytes = sendcount * st.size();
-  const EnginePick& pick = p.pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->allgather(*p.hier, sendbuf, sendcount, st, recvbuf, recvcount,
-                         rt, comm)) {
-      note(CollOp::Allgather, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p.hier->level_path);
-      return;
+CollArgs CollArgs::reduce_scatter(const void* sendbuf, void* recvbuf,
+                                  std::size_t recvcount, mini::Datatype dt,
+                                  ReduceOp op, mini::Comm& comm) {
+  // Rejected up front so no engine ever sees the sentinel (the CCL path
+  // would read through it).
+  require(sendbuf != mini::kInPlace,
+          "reduce_scatter_block: MPI_IN_PLACE not supported");
+  return {CollOp::ReduceScatter, sendbuf, recvbuf, recvcount, dt, recvcount, dt,
+          op, 0, &comm};
+}
+
+mini::Request XcclMpi::start(const Plan& p, const CollArgs& a,
+                             Flavor flavor) {
+  std::optional<obs::Span> span;
+  if (flavor == Flavor::Replay) {
+    span.emplace(rank(), context().clock(), "plan.exec", "core.plan");
+  }
+  current_plan_id_ = p.id;
+  obs::fleet::note_plan(rank(), p.id);
+  const Route route{a.op, a.bytes(), p.pick, p.mode, flavor};
+  if (p.pick.engine == Engine::Hier) {
+    // The hierarchical engine is host-driven (its stages block on MiniMPI),
+    // so like the MPI engine it completes before returning.
+    if (run_hier(p, a)) {
+      note(route, Engine::Hier, false, true, obs::FallbackReason::None,
+           p.hier->level_path);
+      return mini::Request::completed(context().clock().now());
     }
-    note(CollOp::Allgather, bytes, pick, Engine::Mpi, true, false,
+    // Not node-blocked (or op/type outside hier's set): flat MPI.
+    note(route, Engine::Mpi, true, false,
          p.hier->usable ? obs::FallbackReason::HierOpUnsupported
                         : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl && st.size() == rt.size()) {
-    auto run = [&]() -> bool {
-      MPIXCCL_TRY_XCCL(CollOp::Allgather, bytes, pick,
-                       backend_->all_gather(sendbuf, recvbuf,
-                                            sendcount * st.count, st.base,
-                                            *p.ccl, context().stream()),
-                       false);
-    };
-    if (run()) return;
+  } else if (p.pick.engine == Engine::Xccl && a.dt.size() == a.rdt.size()) {
+    // Nonblocking and replayed launches leave the work on the stream: the
+    // request completes at its tail, so the caller overlaps compute.
+    if (settle_xccl(run_xccl(p, a), route, false)) {
+      return mini::Request::completed(context().stream().tail());
+    }
   } else {
     // pick==Xccl with differing element sizes means the 1:1 builtin cannot
     // serve the call (mixed datatypes); the table's Mpi picks land here too.
-    note(CollOp::Allgather, bytes, pick, Engine::Mpi, false, false,
-         pick.engine == Engine::Xccl ? obs::FallbackReason::MixedDatatype
-                                     : pick.reason);
+    note(route, Engine::Mpi, false, false,
+         p.pick.engine == Engine::Xccl ? obs::FallbackReason::MixedDatatype
+                                       : p.pick.reason);
   }
-  mpi_.allgather(sendbuf, sendcount, st, recvbuf, recvcount, rt, comm);
+  run_mpi(a);
+  return mini::Request::completed(context().clock().now());
+}
+
+XcclResult XcclMpi::run_xccl(const Plan& p, const CollArgs& a) {
+  device::Stream& stream = context().stream();
+  const std::size_t n = a.count * a.dt.count;
+  switch (a.op) {
+    case CollOp::Allreduce:
+      return backend_->all_reduce(a.sendbuf, a.recvbuf, n, a.dt.base, a.redop,
+                                  *p.ccl, stream);
+    case CollOp::Bcast:
+      return backend_->broadcast(a.recvbuf, n, a.dt.base, a.root, *p.ccl,
+                                 stream);
+    case CollOp::Reduce:
+      return backend_->reduce(a.sendbuf, a.recvbuf, n, a.dt.base, a.redop,
+                              a.root, *p.ccl, stream);
+    case CollOp::Allgather:
+      return backend_->all_gather(a.sendbuf, a.recvbuf, n, a.dt.base, *p.ccl,
+                                  stream);
+    case CollOp::ReduceScatter:
+      return backend_->reduce_scatter(a.sendbuf, a.recvbuf, n, a.dt.base,
+                                      a.redop, *p.ccl, stream);
+    default:
+      return XcclResult::InvalidUsage;  // no CollArgs builder makes these
+  }
+}
+
+bool XcclMpi::run_hier(const Plan& p, const CollArgs& a) {
+  mini::Comm& comm = *a.comm;
+  switch (a.op) {
+    case CollOp::Allreduce:
+      return hier_->allreduce(*p.hier, a.sendbuf, a.recvbuf, a.count, a.dt,
+                              a.redop, comm);
+    case CollOp::Bcast:
+      return hier_->bcast(*p.hier, a.recvbuf, a.count, a.dt, a.root, comm);
+    case CollOp::Reduce:
+      return hier_->reduce(*p.hier, a.sendbuf, a.recvbuf, a.count, a.dt,
+                           a.redop, a.root, comm);
+    case CollOp::Allgather:
+      return hier_->allgather(*p.hier, a.sendbuf, a.count, a.dt, a.recvbuf,
+                              a.rcount, a.rdt, comm);
+    case CollOp::ReduceScatter:
+      return hier_->reduce_scatter_block(*p.hier, a.sendbuf, a.recvbuf,
+                                         a.count, a.dt, a.redop, comm);
+    default:
+      return false;  // no CollArgs builder makes these
+  }
+}
+
+void XcclMpi::run_mpi(const CollArgs& a) {
+  mini::Comm& comm = *a.comm;
+  switch (a.op) {
+    case CollOp::Allreduce:
+      mpi_.allreduce(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, comm);
+      return;
+    case CollOp::Bcast:
+      mpi_.bcast(a.recvbuf, a.count, a.dt, a.root, comm);
+      return;
+    case CollOp::Reduce:
+      mpi_.reduce(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, a.root, comm);
+      return;
+    case CollOp::Allgather:
+      mpi_.allgather(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount, a.rdt,
+                     comm);
+      return;
+    case CollOp::ReduceScatter:
+      mpi_.reduce_scatter_block(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop,
+                                comm);
+      return;
+    default:
+      throw Error("XcclMpi: " + std::string(to_string(a.op)) +
+                  " has no plan-backed path");
+  }
+}
+
+void XcclMpi::barrier(mini::Comm& comm) {
+  // Barriers carry no data: the MPI dissemination barrier is strictly
+  // cheaper than a CCL launch, so the hybrid always routes it to MPI.
+  note(Engine::Mpi, 0, false, false);
+  mpi_.barrier(comm);
+}
+
+void XcclMpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
+                        mini::Datatype dt, ReduceOp op, mini::Comm& comm) {
+  ScopedOpTimer timer(*this, CollOp::Allreduce);
+  const CollArgs a = CollArgs::allreduce(sendbuf, recvbuf, count, dt, op, comm);
+  start(*plan_for(a), a, Flavor::Blocking);
+}
+
+void XcclMpi::bcast(void* buf, std::size_t count, mini::Datatype dt, int root,
+                    mini::Comm& comm) {
+  ScopedOpTimer timer(*this, CollOp::Bcast);
+  const CollArgs a = CollArgs::bcast(buf, count, dt, root, comm);
+  start(*plan_for(a), a, Flavor::Blocking);
+}
+
+void XcclMpi::reduce(const void* sendbuf, void* recvbuf, std::size_t count,
+                     mini::Datatype dt, ReduceOp op, int root, mini::Comm& comm) {
+  ScopedOpTimer timer(*this, CollOp::Reduce);
+  const CollArgs a =
+      CollArgs::reduce(sendbuf, recvbuf, count, dt, op, root, comm);
+  start(*plan_for(a), a, Flavor::Blocking);
+}
+
+void XcclMpi::allgather(const void* sendbuf, std::size_t sendcount,
+                        mini::Datatype st, void* recvbuf, std::size_t recvcount,
+                        mini::Datatype rt, mini::Comm& comm) {
+  ScopedOpTimer timer(*this, CollOp::Allgather);
+  const CollArgs a = CollArgs::allgather(sendbuf, sendcount, st, recvbuf,
+                                         recvcount, rt, comm);
+  start(*plan_for(a), a, Flavor::Blocking);
 }
 
 void XcclMpi::reduce_scatter_block(const void* sendbuf, void* recvbuf,
                                    std::size_t recvcount, mini::Datatype dt,
                                    ReduceOp op, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::ReduceScatter);
-  const std::size_t bytes = recvcount * dt.size();
-  const auto p = plan_for(CollOp::ReduceScatter, bytes, dt.base, op, sendbuf,
-                          recvbuf, comm);
-  exec_reduce_scatter(*p, sendbuf, recvbuf, recvcount, dt, op, comm);
+  ScopedOpTimer timer(*this, CollOp::ReduceScatter);
+  const CollArgs a =
+      CollArgs::reduce_scatter(sendbuf, recvbuf, recvcount, dt, op, comm);
+  start(*plan_for(a), a, Flavor::Blocking);
 }
 
-void XcclMpi::exec_reduce_scatter(const Plan& p, const void* sendbuf,
-                                  void* recvbuf, std::size_t recvcount,
-                                  mini::Datatype dt, ReduceOp op,
+// ---- Nonblocking collectives -------------------------------------------------
+
+mini::Request XcclMpi::iallreduce(const void* sendbuf, void* recvbuf,
+                                  std::size_t count, mini::Datatype dt,
+                                  ReduceOp op, mini::Comm& comm) {
+  const CollArgs a = CollArgs::allreduce(sendbuf, recvbuf, count, dt, op, comm);
+  return start(*plan_for(a), a, Flavor::Nonblocking);
+}
+
+mini::Request XcclMpi::ibcast(void* buf, std::size_t count, mini::Datatype dt,
+                              int root, mini::Comm& comm) {
+  const CollArgs a = CollArgs::bcast(buf, count, dt, root, comm);
+  return start(*plan_for(a), a, Flavor::Nonblocking);
+}
+
+mini::Request XcclMpi::iallgather(const void* sendbuf, std::size_t sendcount,
+                                  mini::Datatype st, void* recvbuf,
+                                  std::size_t recvcount, mini::Datatype rt,
                                   mini::Comm& comm) {
-  const std::size_t bytes = recvcount * dt.size();
-  const EnginePick& pick = p.pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->reduce_scatter_block(*p.hier, sendbuf, recvbuf, recvcount, dt,
-                                    op, comm)) {
-      note(CollOp::ReduceScatter, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p.hier->level_path);
-      return;
-    }
-    note(CollOp::ReduceScatter, bytes, pick, Engine::Mpi, true, false,
-         p.hier->usable ? obs::FallbackReason::HierOpUnsupported
-                        : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    auto run = [&]() -> bool {
-      MPIXCCL_TRY_XCCL(CollOp::ReduceScatter, bytes, pick,
-                       backend_->reduce_scatter(sendbuf, recvbuf,
-                                                recvcount * dt.count, dt.base, op,
-                                                *p.ccl,
-                                                context().stream()),
-                       false);
-    };
-    if (run()) return;
-  } else {
-    note(CollOp::ReduceScatter, bytes, pick, Engine::Mpi, false, false,
-         pick.reason);
-  }
-  mpi_.reduce_scatter_block(sendbuf, recvbuf, recvcount, dt, op, comm);
+  const CollArgs a = CollArgs::allgather(sendbuf, sendcount, st, recvbuf,
+                                         recvcount, rt, comm);
+  return start(*plan_for(a), a, Flavor::Nonblocking);
+}
+
+mini::Request XcclMpi::ireduce(const void* sendbuf, void* recvbuf,
+                               std::size_t count, mini::Datatype dt, ReduceOp op,
+                               int root, mini::Comm& comm) {
+  const CollArgs a =
+      CollArgs::reduce(sendbuf, recvbuf, count, dt, op, root, comm);
+  return start(*plan_for(a), a, Flavor::Nonblocking);
+}
+
+// ---- Persistent collectives -------------------------------------------------
+
+Persistent XcclMpi::make_persistent(const CollArgs& a) {
+  Persistent h;
+  h.rt_ = this;
+  h.plan_ = plan_for(a);
+  h.args_ = a;
+  // One init-time decision-log entry explains every subsequent start():
+  // replays update last_decision() but never the ring (Flavor::Replay).
+  const Plan& p = *h.plan_;
+  obs::DispatchDecision d;
+  d.rank = rank();
+  d.op = a.op;
+  d.bytes = a.bytes();
+  d.mode = p.mode;
+  d.breakpoint = p.pick.breakpoint;
+  d.table_choice = p.pick.table_choice;
+  d.engine = p.pick.engine;
+  d.reason = p.pick.reason;
+  if (p.hier != nullptr && p.hier->usable) d.level_path = p.hier->level_path;
+  d.time_us = context().clock().now();
+  obs::DecisionLog::instance().push(d);
+  return h;
+}
+
+Persistent XcclMpi::allreduce_init(const void* sendbuf, void* recvbuf,
+                                   std::size_t count, mini::Datatype dt,
+                                   ReduceOp op, mini::Comm& comm) {
+  return make_persistent(
+      CollArgs::allreduce(sendbuf, recvbuf, count, dt, op, comm));
+}
+
+Persistent XcclMpi::bcast_init(void* buf, std::size_t count, mini::Datatype dt,
+                               int root, mini::Comm& comm) {
+  return make_persistent(CollArgs::bcast(buf, count, dt, root, comm));
+}
+
+Persistent XcclMpi::reduce_init(const void* sendbuf, void* recvbuf,
+                                std::size_t count, mini::Datatype dt,
+                                ReduceOp op, int root, mini::Comm& comm) {
+  return make_persistent(
+      CollArgs::reduce(sendbuf, recvbuf, count, dt, op, root, comm));
+}
+
+Persistent XcclMpi::allgather_init(const void* sendbuf, std::size_t sendcount,
+                                   mini::Datatype st, void* recvbuf,
+                                   std::size_t recvcount, mini::Datatype rt,
+                                   mini::Comm& comm) {
+  return make_persistent(CollArgs::allgather(sendbuf, sendcount, st, recvbuf,
+                                             recvcount, rt, comm));
+}
+
+Persistent XcclMpi::reduce_scatter_init(const void* sendbuf, void* recvbuf,
+                                        std::size_t recvcount,
+                                        mini::Datatype dt, ReduceOp op,
+                                        mini::Comm& comm) {
+  return make_persistent(
+      CollArgs::reduce_scatter(sendbuf, recvbuf, recvcount, dt, op, comm));
 }
 
 // ---- Composed send/recv collectives (paper Sec. 3.3, Listing 1) -----------
+
+template <class Compose>
+bool XcclMpi::composed_xccl(CollOp op, std::size_t bytes,
+                            const EnginePick& pick, Compose&& compose) {
+  const Route route{op, bytes, pick, options_.mode, Flavor::Blocking};
+  if (pick.engine != Engine::Xccl) {
+    note(route, Engine::Mpi, false, false, pick.reason);
+    return false;
+  }
+  return settle_xccl(compose(), route, true);
+}
+
+template <class Post>
+XcclResult XcclMpi::grouped(std::string_view span_name, mini::Datatype st,
+                            mini::Datatype rt, mini::Comm& comm, Post&& post) {
+  const auto& caps = backend_->capabilities();
+  if (!caps.can_move(st.base) || !caps.can_move(rt.base)) {
+    return XcclResult::UnsupportedDatatype;
+  }
+  xccl::CclComm& cc = ccl_comm(comm);
+  obs::Span span(rank(), context().clock(), span_name, "xccl.stage");
+  throw_if_error(backend_->group_start(), "xccl group_start");
+  post(cc, context().stream());
+  throw_if_error(backend_->group_end(), "xccl group_end");
+  return XcclResult::Success;
+}
 
 XcclResult XcclMpi::x_alltoallv(const void* sendbuf,
                                 std::span<const std::size_t> sendcounts,
@@ -676,70 +767,52 @@ XcclResult XcclMpi::x_alltoallv(const void* sendbuf,
                                 std::span<const std::size_t> recvcounts,
                                 std::span<const std::size_t> rdispls,
                                 mini::Datatype rt, mini::Comm& comm) {
-  const auto& caps = backend_->capabilities();
-  if (!caps.can_move(st.base) || !caps.can_move(rt.base)) {
-    return XcclResult::UnsupportedDatatype;
-  }
-  xccl::CclComm& cc = ccl_comm(comm);
-  device::Stream& stream = context().stream();
-  const std::size_t ssz = st.size();
-  const std::size_t rsz = rt.size();
-
   // Listing 1: one group enclosing a send and a recv per peer.
-  obs::Span span(rank(), context().clock(), "alltoallv.group", "xccl.stage");
-  throw_if_error(backend_->group_start(), "x_alltoallv group_start");
-  for (int r = 0; r < comm.size(); ++r) {
-    const auto ur = static_cast<std::size_t>(r);
-    throw_if_error(backend_->send(cat(sendbuf, sdispls[ur] * ssz),
-                                  sendcounts[ur] * st.count, st.base, r, cc,
-                                  stream),
-                   "x_alltoallv send");
-    throw_if_error(backend_->recv(mat(recvbuf, rdispls[ur] * rsz),
-                                  recvcounts[ur] * rt.count, rt.base, r, cc,
-                                  stream),
-                   "x_alltoallv recv");
-  }
-  throw_if_error(backend_->group_end(), "x_alltoallv group_end");
-  return XcclResult::Success;
+  return grouped(
+      "alltoallv.group", st, rt, comm,
+      [&](xccl::CclComm& cc, device::Stream& stream) {
+        for (int r = 0; r < comm.size(); ++r) {
+          const auto ur = static_cast<std::size_t>(r);
+          throw_if_error(backend_->send(cat(sendbuf, sdispls[ur] * st.size()),
+                                        sendcounts[ur] * st.count, st.base, r,
+                                        cc, stream),
+                         "x_alltoallv send");
+          throw_if_error(backend_->recv(mat(recvbuf, rdispls[ur] * rt.size()),
+                                        recvcounts[ur] * rt.count, rt.base, r,
+                                        cc, stream),
+                         "x_alltoallv recv");
+        }
+      });
 }
 
 void XcclMpi::alltoall(const void* sendbuf, std::size_t sendcount,
                        mini::Datatype st, void* recvbuf, std::size_t recvcount,
                        mini::Datatype rt, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Alltoall);
+  ScopedOpTimer timer(*this, CollOp::Alltoall);
   if (sendbuf == mini::kInPlace) {
     // In-place alltoall reads and writes the same blocks; the MPI engine
     // snapshots the buffer, the grouped xCCL composition cannot.
-    note(CollOp::Alltoall, recvcount * rt.size(), EnginePick{}, Engine::Mpi,
-         false, false, obs::FallbackReason::InPlace);
+    note({CollOp::Alltoall, recvcount * rt.size(), {}, options_.mode,
+          Flavor::Blocking},
+         Engine::Mpi, false, false, obs::FallbackReason::InPlace);
     mpi_.alltoall(sendbuf, sendcount, st, recvbuf, recvcount, rt, comm);
     return;
   }
   const std::size_t bytes = sendcount * st.size();
   const EnginePick pick = pick_engine(CollOp::Alltoall, bytes, sendbuf, recvbuf);
-  if (pick.engine == Engine::Xccl) {
-    const auto up = static_cast<std::size_t>(comm.size());
-    std::vector<std::size_t> counts(up, sendcount);
-    std::vector<std::size_t> sdispls(up);
-    std::vector<std::size_t> rdispls(up);
-    for (std::size_t r = 0; r < up; ++r) {
-      sdispls[r] = r * sendcount;
-      rdispls[r] = r * recvcount;
-    }
-    const XcclResult r = x_alltoallv(sendbuf, counts, sdispls, st, recvbuf,
-                                     counts, rdispls, rt, comm);
-    if (ok(r)) {
-      context().stream().synchronize(context().clock());
-      note(CollOp::Alltoall, bytes, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::alltoall: xccl path failed");
-    note(CollOp::Alltoall, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Alltoall, bytes, pick, Engine::Mpi, false, false, pick.reason);
+  if (composed_xccl(CollOp::Alltoall, bytes, pick, [&] {
+        const auto up = static_cast<std::size_t>(comm.size());
+        std::vector<std::size_t> counts(up, sendcount);
+        std::vector<std::size_t> sdispls(up);
+        std::vector<std::size_t> rdispls(up);
+        for (std::size_t r = 0; r < up; ++r) {
+          sdispls[r] = r * sendcount;
+          rdispls[r] = r * recvcount;
+        }
+        return x_alltoallv(sendbuf, counts, sdispls, st, recvbuf, counts,
+                           rdispls, rt, comm);
+      })) {
+    return;
   }
   mpi_.alltoall(sendbuf, sendcount, st, recvbuf, recvcount, rt, comm);
 }
@@ -750,27 +823,16 @@ void XcclMpi::alltoallv(const void* sendbuf,
                         void* recvbuf, std::span<const std::size_t> recvcounts,
                         std::span<const std::size_t> rdispls, mini::Datatype rt,
                         mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Alltoallv);
+  ScopedOpTimer timer(*this, CollOp::Alltoallv);
   std::size_t max_block = 0;
   for (std::size_t c : sendcounts) max_block = std::max(max_block, c * st.size());
   const EnginePick pick =
       pick_engine_agreed(CollOp::Alltoallv, max_block, sendbuf, recvbuf, comm);
-  if (pick.engine == Engine::Xccl) {
-    const XcclResult r = x_alltoallv(sendbuf, sendcounts, sdispls, st, recvbuf,
-                                     recvcounts, rdispls, rt, comm);
-    if (ok(r)) {
-      context().stream().synchronize(context().clock());
-      note(CollOp::Alltoallv, max_block, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::alltoallv: xccl path failed");
-    note(CollOp::Alltoallv, max_block, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Alltoallv, max_block, pick, Engine::Mpi, false, false,
-         pick.reason);
+  if (composed_xccl(CollOp::Alltoallv, max_block, pick, [&] {
+        return x_alltoallv(sendbuf, sendcounts, sdispls, st, recvbuf,
+                           recvcounts, rdispls, rt, comm);
+      })) {
+    return;
   }
   mpi_.alltoallv(sendbuf, sendcounts, sdispls, st, recvbuf, recvcounts, rdispls,
                  rt, comm);
@@ -781,57 +843,38 @@ XcclResult XcclMpi::x_gatherv(const void* sendbuf, std::size_t sendcount,
                               std::span<const std::size_t> recvcounts,
                               std::span<const std::size_t> displs,
                               mini::Datatype rt, int root, mini::Comm& comm) {
-  const auto& caps = backend_->capabilities();
-  if (!caps.can_move(st.base) || !caps.can_move(rt.base)) {
-    return XcclResult::UnsupportedDatatype;
-  }
-  xccl::CclComm& cc = ccl_comm(comm);
-  device::Stream& stream = context().stream();
-
-  obs::Span span(rank(), context().clock(), "gatherv.group", "xccl.stage");
-  throw_if_error(backend_->group_start(), "x_gatherv group_start");
-  throw_if_error(backend_->send(sendbuf, sendcount * st.count, st.base, root, cc,
-                                stream),
-                 "x_gatherv send");
-  if (comm.rank() == root) {
-    const std::size_t rsz = rt.size();
-    for (int r = 0; r < comm.size(); ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      throw_if_error(backend_->recv(mat(recvbuf, displs[ur] * rsz),
-                                    recvcounts[ur] * rt.count, rt.base, r, cc,
-                                    stream),
-                     "x_gatherv recv");
-    }
-  }
-  throw_if_error(backend_->group_end(), "x_gatherv group_end");
-  return XcclResult::Success;
+  return grouped(
+      "gatherv.group", st, rt, comm,
+      [&](xccl::CclComm& cc, device::Stream& stream) {
+        throw_if_error(backend_->send(sendbuf, sendcount * st.count, st.base,
+                                      root, cc, stream),
+                       "x_gatherv send");
+        if (comm.rank() != root) return;
+        for (int r = 0; r < comm.size(); ++r) {
+          const auto ur = static_cast<std::size_t>(r);
+          throw_if_error(backend_->recv(mat(recvbuf, displs[ur] * rt.size()),
+                                        recvcounts[ur] * rt.count, rt.base, r,
+                                        cc, stream),
+                         "x_gatherv recv");
+        }
+      });
 }
 
 void XcclMpi::gather(const void* sendbuf, std::size_t sendcount, mini::Datatype st,
                      void* recvbuf, std::size_t recvcount, mini::Datatype rt,
                      int root, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Gather);
+  ScopedOpTimer timer(*this, CollOp::Gather);
   const std::size_t bytes = sendcount * st.size();
   const EnginePick pick = pick_engine(CollOp::Gather, bytes, sendbuf, recvbuf);
-  if (pick.engine == Engine::Xccl) {
-    const auto up = static_cast<std::size_t>(comm.size());
-    std::vector<std::size_t> counts(up, recvcount);
-    std::vector<std::size_t> displs(up);
-    for (std::size_t r = 0; r < up; ++r) displs[r] = r * recvcount;
-    const XcclResult r =
-        x_gatherv(sendbuf, sendcount, st, recvbuf, counts, displs, rt, root, comm);
-    if (ok(r)) {
-      context().stream().synchronize(context().clock());
-      note(CollOp::Gather, bytes, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::gather: xccl path failed");
-    note(CollOp::Gather, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Gather, bytes, pick, Engine::Mpi, false, false, pick.reason);
+  if (composed_xccl(CollOp::Gather, bytes, pick, [&] {
+        const auto up = static_cast<std::size_t>(comm.size());
+        std::vector<std::size_t> counts(up, recvcount);
+        std::vector<std::size_t> displs(up);
+        for (std::size_t r = 0; r < up; ++r) displs[r] = r * recvcount;
+        return x_gatherv(sendbuf, sendcount, st, recvbuf, counts, displs, rt,
+                         root, comm);
+      })) {
+    return;
   }
   mpi_.gather(sendbuf, sendcount, st, recvbuf, recvcount, rt, root, comm);
 }
@@ -841,26 +884,15 @@ void XcclMpi::gatherv(const void* sendbuf, std::size_t sendcount,
                       std::span<const std::size_t> recvcounts,
                       std::span<const std::size_t> displs, mini::Datatype rt,
                       int root, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Gather);
+  ScopedOpTimer timer(*this, CollOp::Gather);
   const std::size_t bytes = sendcount * st.size();
   const EnginePick pick =
       pick_engine_agreed(CollOp::Gather, bytes, sendbuf, recvbuf, comm);
-  if (pick.engine == Engine::Xccl) {
-    const XcclResult r =
-        x_gatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs, rt, root,
-                  comm);
-    if (ok(r)) {
-      context().stream().synchronize(context().clock());
-      note(CollOp::Gather, bytes, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::gatherv: xccl path failed");
-    note(CollOp::Gather, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Gather, bytes, pick, Engine::Mpi, false, false, pick.reason);
+  if (composed_xccl(CollOp::Gather, bytes, pick, [&] {
+        return x_gatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs,
+                         rt, root, comm);
+      })) {
+    return;
   }
   mpi_.gatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs, rt, root,
                comm);
@@ -872,58 +904,39 @@ XcclResult XcclMpi::x_scatterv(const void* sendbuf,
                                mini::Datatype st, void* recvbuf,
                                std::size_t recvcount, mini::Datatype rt, int root,
                                mini::Comm& comm) {
-  const auto& caps = backend_->capabilities();
-  if (!caps.can_move(st.base) || !caps.can_move(rt.base)) {
-    return XcclResult::UnsupportedDatatype;
-  }
-  xccl::CclComm& cc = ccl_comm(comm);
-  device::Stream& stream = context().stream();
-
-  obs::Span span(rank(), context().clock(), "scatterv.group", "xccl.stage");
-  throw_if_error(backend_->group_start(), "x_scatterv group_start");
-  if (comm.rank() == root) {
-    const std::size_t ssz = st.size();
-    for (int r = 0; r < comm.size(); ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      throw_if_error(backend_->send(cat(sendbuf, displs[ur] * ssz),
-                                    sendcounts[ur] * st.count, st.base, r, cc,
-                                    stream),
-                     "x_scatterv send");
-    }
-  }
-  throw_if_error(backend_->recv(recvbuf, recvcount * rt.count, rt.base, root, cc,
-                                stream),
-                 "x_scatterv recv");
-  throw_if_error(backend_->group_end(), "x_scatterv group_end");
-  return XcclResult::Success;
+  return grouped(
+      "scatterv.group", st, rt, comm,
+      [&](xccl::CclComm& cc, device::Stream& stream) {
+        if (comm.rank() == root) {
+          for (int r = 0; r < comm.size(); ++r) {
+            const auto ur = static_cast<std::size_t>(r);
+            throw_if_error(backend_->send(cat(sendbuf, displs[ur] * st.size()),
+                                          sendcounts[ur] * st.count, st.base, r,
+                                          cc, stream),
+                           "x_scatterv send");
+          }
+        }
+        throw_if_error(backend_->recv(recvbuf, recvcount * rt.count, rt.base,
+                                      root, cc, stream),
+                       "x_scatterv recv");
+      });
 }
 
 void XcclMpi::scatter(const void* sendbuf, std::size_t sendcount,
                       mini::Datatype st, void* recvbuf, std::size_t recvcount,
                       mini::Datatype rt, int root, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Scatter);
+  ScopedOpTimer timer(*this, CollOp::Scatter);
   const std::size_t bytes = recvcount * rt.size();
   const EnginePick pick = pick_engine(CollOp::Scatter, bytes, sendbuf, recvbuf);
-  if (pick.engine == Engine::Xccl) {
-    const auto up = static_cast<std::size_t>(comm.size());
-    std::vector<std::size_t> counts(up, sendcount);
-    std::vector<std::size_t> displs(up);
-    for (std::size_t r = 0; r < up; ++r) displs[r] = r * sendcount;
-    const XcclResult r =
-        x_scatterv(sendbuf, counts, displs, st, recvbuf, recvcount, rt, root,
-                   comm);
-    if (ok(r)) {
-      context().stream().synchronize(context().clock());
-      note(CollOp::Scatter, bytes, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::scatter: xccl path failed");
-    note(CollOp::Scatter, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Scatter, bytes, pick, Engine::Mpi, false, false, pick.reason);
+  if (composed_xccl(CollOp::Scatter, bytes, pick, [&] {
+        const auto up = static_cast<std::size_t>(comm.size());
+        std::vector<std::size_t> counts(up, sendcount);
+        std::vector<std::size_t> displs(up);
+        for (std::size_t r = 0; r < up; ++r) displs[r] = r * sendcount;
+        return x_scatterv(sendbuf, counts, displs, st, recvbuf, recvcount, rt,
+                          root, comm);
+      })) {
+    return;
   }
   mpi_.scatter(sendbuf, sendcount, st, recvbuf, recvcount, rt, root, comm);
 }
@@ -933,28 +946,41 @@ void XcclMpi::scatterv(const void* sendbuf,
                        std::span<const std::size_t> displs, mini::Datatype st,
                        void* recvbuf, std::size_t recvcount, mini::Datatype rt,
                        int root, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Scatter);
+  ScopedOpTimer timer(*this, CollOp::Scatter);
   const std::size_t bytes = recvcount * rt.size();
   const EnginePick pick =
       pick_engine_agreed(CollOp::Scatter, bytes, sendbuf, recvbuf, comm);
-  if (pick.engine == Engine::Xccl) {
-    const XcclResult r = x_scatterv(sendbuf, sendcounts, displs, st, recvbuf,
-                                    recvcount, rt, root, comm);
-    if (ok(r)) {
-      context().stream().synchronize(context().clock());
-      note(CollOp::Scatter, bytes, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::scatterv: xccl path failed");
-    note(CollOp::Scatter, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Scatter, bytes, pick, Engine::Mpi, false, false, pick.reason);
+  if (composed_xccl(CollOp::Scatter, bytes, pick, [&] {
+        return x_scatterv(sendbuf, sendcounts, displs, st, recvbuf, recvcount,
+                          rt, root, comm);
+      })) {
+    return;
   }
   mpi_.scatterv(sendbuf, sendcounts, displs, st, recvbuf, recvcount, rt, root,
                 comm);
+}
+
+XcclResult XcclMpi::x_allgatherv(const void* sendbuf, std::size_t sendcount,
+                                 mini::Datatype st, void* recvbuf,
+                                 std::span<const std::size_t> recvcounts,
+                                 std::span<const std::size_t> displs,
+                                 mini::Datatype rt, mini::Comm& comm) {
+  // Every rank sends its block to everyone and receives all blocks (no CCL
+  // builtin handles ragged blocks).
+  return grouped(
+      "allgatherv.group", st, rt, comm,
+      [&](xccl::CclComm& cc, device::Stream& stream) {
+        for (int r = 0; r < comm.size(); ++r) {
+          const auto ur = static_cast<std::size_t>(r);
+          throw_if_error(backend_->send(sendbuf, sendcount * st.count, st.base,
+                                        r, cc, stream),
+                         "x_allgatherv send");
+          throw_if_error(backend_->recv(mat(recvbuf, displs[ur] * rt.size()),
+                                        recvcounts[ur] * rt.count, rt.base, r,
+                                        cc, stream),
+                         "x_allgatherv recv");
+        }
+      });
 }
 
 void XcclMpi::allgatherv(const void* sendbuf, std::size_t sendcount,
@@ -962,478 +988,34 @@ void XcclMpi::allgatherv(const void* sendbuf, std::size_t sendcount,
                          std::span<const std::size_t> recvcounts,
                          std::span<const std::size_t> displs, mini::Datatype rt,
                          mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Allgatherv);
+  ScopedOpTimer timer(*this, CollOp::Allgatherv);
   const std::size_t bytes = sendcount * st.size();
   const EnginePick pick =
       pick_engine_agreed(CollOp::Allgatherv, bytes, sendbuf, recvbuf, comm);
-  if (pick.engine == Engine::Xccl) {
-    // Composed: every rank sends its block to everyone and receives all
-    // blocks (no CCL builtin handles ragged blocks).
-    const auto& caps = backend_->capabilities();
-    if (caps.can_move(st.base) && caps.can_move(rt.base)) {
-      xccl::CclComm& cc = ccl_comm(comm);
-      device::Stream& stream = context().stream();
-      const std::size_t rsz = rt.size();
-      obs::Span span(rank(), context().clock(), "allgatherv.group",
-                     "xccl.stage");
-      throw_if_error(backend_->group_start(), "allgatherv group_start");
-      for (int r = 0; r < comm.size(); ++r) {
-        const auto ur = static_cast<std::size_t>(r);
-        throw_if_error(backend_->send(sendbuf, sendcount * st.count, st.base, r,
-                                      cc, stream),
-                       "allgatherv send");
-        throw_if_error(backend_->recv(mat(recvbuf, displs[ur] * rsz),
-                                      recvcounts[ur] * rt.count, rt.base, r, cc,
-                                      stream),
-                       "allgatherv recv");
-      }
-      throw_if_error(backend_->group_end(), "allgatherv group_end");
-      stream.synchronize(context().clock());
-      note(CollOp::Allgatherv, bytes, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    note(CollOp::Allgatherv, bytes, pick, Engine::Mpi, true, false,
-         obs::FallbackReason::DtypeUnsupported);
-  } else {
-    note(CollOp::Allgatherv, bytes, pick, Engine::Mpi, false, false,
-         pick.reason);
+  if (composed_xccl(CollOp::Allgatherv, bytes, pick, [&] {
+        return x_allgatherv(sendbuf, sendcount, st, recvbuf, recvcounts,
+                            displs, rt, comm);
+      })) {
+    return;
   }
   mpi_.allgatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs, rt, comm);
 }
 
 void XcclMpi::scan(const void* sendbuf, void* recvbuf, std::size_t count,
                    mini::Datatype dt, ReduceOp op, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Scan);
+  ScopedOpTimer timer(*this, CollOp::Scan);
   // No CCL builtin and a serial dependency chain: always MPI.
-  note(CollOp::Scan, count * dt.size(), EnginePick{}, Engine::Mpi, false, false,
-       obs::FallbackReason::None);
+  note({CollOp::Scan, count * dt.size(), {}, options_.mode, Flavor::Blocking},
+       Engine::Mpi, false, false, obs::FallbackReason::None);
   mpi_.scan(sendbuf, recvbuf, count, dt, op, comm);
 }
 
 void XcclMpi::exscan(const void* sendbuf, void* recvbuf, std::size_t count,
                      mini::Datatype dt, ReduceOp op, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Scan);
-  note(CollOp::Scan, count * dt.size(), EnginePick{}, Engine::Mpi, false, false,
-       obs::FallbackReason::None);
+  ScopedOpTimer timer(*this, CollOp::Scan);
+  note({CollOp::Scan, count * dt.size(), {}, options_.mode, Flavor::Blocking},
+       Engine::Mpi, false, false, obs::FallbackReason::None);
   mpi_.exscan(sendbuf, recvbuf, count, dt, op, comm);
-}
-
-// ---- Nonblocking collectives -------------------------------------------------
-
-mini::Request XcclMpi::iallreduce(const void* sendbuf, void* recvbuf,
-                                  std::size_t count, mini::Datatype dt,
-                                  ReduceOp op, mini::Comm& comm) {
-  const std::size_t bytes = count * dt.size();
-  const auto p =
-      plan_for(CollOp::Allreduce, bytes, dt.base, op, sendbuf, recvbuf, comm);
-  const EnginePick& pick = p->pick;
-  if (pick.engine == Engine::Hier) {
-    // The hierarchical engine is host-driven (its stages block on MiniMPI),
-    // so like the MPI engine it completes before returning.
-    if (hier_->allreduce(*p->hier, sendbuf, recvbuf, count, dt, op, comm)) {
-      note(CollOp::Allreduce, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p->hier->level_path);
-      return mini::Request::completed(context().clock().now());
-    }
-    note(CollOp::Allreduce, bytes, pick, Engine::Mpi, true, false,
-         p->hier->usable ? obs::FallbackReason::HierOpUnsupported
-                         : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    device::Stream& stream = context().stream();
-    const XcclResult r = backend_->all_reduce(
-        sendbuf, recvbuf, count * dt.count, dt.base, op, *p->ccl, stream);
-    if (ok(r)) {
-      note(CollOp::Allreduce, bytes, pick, Engine::Xccl, false, false,
-           obs::FallbackReason::None);
-      // No stream sync: the request completes at the stream tail, so the
-      // caller can overlap compute until wait().
-      return mini::Request::completed(stream.tail());
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::iallreduce: xccl path failed");
-    note(CollOp::Allreduce, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Allreduce, bytes, pick, Engine::Mpi, false, false,
-         pick.reason);
-  }
-  return mpi_.iallreduce(sendbuf, recvbuf, count, dt, op, comm);
-}
-
-mini::Request XcclMpi::ibcast(void* buf, std::size_t count, mini::Datatype dt,
-                              int root, mini::Comm& comm) {
-  const std::size_t bytes = count * dt.size();
-  const auto p = plan_for(CollOp::Bcast, bytes, dt.base, ReduceOp::Sum, buf,
-                          nullptr, comm);
-  const EnginePick& pick = p->pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->bcast(*p->hier, buf, count, dt, root, comm)) {
-      note(CollOp::Bcast, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p->hier->level_path);
-      return mini::Request::completed(context().clock().now());
-    }
-    note(CollOp::Bcast, bytes, pick, Engine::Mpi, true, false,
-         p->hier->usable ? obs::FallbackReason::HierOpUnsupported
-                         : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    device::Stream& stream = context().stream();
-    const XcclResult r = backend_->broadcast(buf, count * dt.count, dt.base, root,
-                                             *p->ccl, stream);
-    if (ok(r)) {
-      note(CollOp::Bcast, bytes, pick, Engine::Xccl, false, false,
-           obs::FallbackReason::None);
-      return mini::Request::completed(stream.tail());
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::ibcast: xccl path failed");
-    note(CollOp::Bcast, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Bcast, bytes, pick, Engine::Mpi, false, false, pick.reason);
-  }
-  return mpi_.ibcast(buf, count, dt, root, comm);
-}
-
-mini::Request XcclMpi::iallgather(const void* sendbuf, std::size_t sendcount,
-                                  mini::Datatype st, void* recvbuf,
-                                  std::size_t recvcount, mini::Datatype rt,
-                                  mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace) {
-    sendbuf = cat(recvbuf, static_cast<std::size_t>(comm.rank()) * recvcount *
-                               rt.size());
-    sendcount = recvcount;
-    st = rt;
-  }
-  const std::size_t bytes = sendcount * st.size();
-  const auto p = plan_for(CollOp::Allgather, bytes, st.base, ReduceOp::Sum,
-                          sendbuf, recvbuf, comm);
-  const EnginePick& pick = p->pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->allgather(*p->hier, sendbuf, sendcount, st, recvbuf, recvcount,
-                         rt, comm)) {
-      note(CollOp::Allgather, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p->hier->level_path);
-      return mini::Request::completed(context().clock().now());
-    }
-    note(CollOp::Allgather, bytes, pick, Engine::Mpi, true, false,
-         p->hier->usable ? obs::FallbackReason::HierOpUnsupported
-                         : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl && st.size() == rt.size()) {
-    device::Stream& stream = context().stream();
-    const XcclResult r =
-        backend_->all_gather(sendbuf, recvbuf, sendcount * st.count, st.base,
-                             *p->ccl, stream);
-    if (ok(r)) {
-      note(CollOp::Allgather, bytes, pick, Engine::Xccl, false, false,
-           obs::FallbackReason::None);
-      return mini::Request::completed(stream.tail());
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::iallgather: xccl path failed");
-    note(CollOp::Allgather, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Allgather, bytes, pick, Engine::Mpi, false, false,
-         pick.engine == Engine::Xccl ? obs::FallbackReason::MixedDatatype
-                                     : pick.reason);
-  }
-  // MiniMPI has no nonblocking allgather; complete eagerly like its other
-  // i-collectives do.
-  mpi_.allgather(sendbuf, sendcount, st, recvbuf, recvcount, rt, comm);
-  return mini::Request::completed(context().clock().now());
-}
-
-mini::Request XcclMpi::ireduce(const void* sendbuf, void* recvbuf,
-                               std::size_t count, mini::Datatype dt, ReduceOp op,
-                               int root, mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace && comm.rank() == root) sendbuf = recvbuf;
-  const std::size_t bytes = count * dt.size();
-  const auto p =
-      plan_for(CollOp::Reduce, bytes, dt.base, op, sendbuf, recvbuf, comm);
-  const EnginePick& pick = p->pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->reduce(*p->hier, sendbuf, recvbuf, count, dt, op, root, comm)) {
-      note(CollOp::Reduce, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p->hier->level_path);
-      return mini::Request::completed(context().clock().now());
-    }
-    note(CollOp::Reduce, bytes, pick, Engine::Mpi, true, false,
-         p->hier->usable ? obs::FallbackReason::HierOpUnsupported
-                         : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    device::Stream& stream = context().stream();
-    const XcclResult r =
-        backend_->reduce(sendbuf, recvbuf, count * dt.count, dt.base, op, root,
-                         *p->ccl, stream);
-    if (ok(r)) {
-      note(CollOp::Reduce, bytes, pick, Engine::Xccl, false, false,
-           obs::FallbackReason::None);
-      return mini::Request::completed(stream.tail());
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::ireduce: xccl path failed");
-    note(CollOp::Reduce, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Reduce, bytes, pick, Engine::Mpi, false, false, pick.reason);
-  }
-  mpi_.reduce(sendbuf, recvbuf, count, dt, op, root, comm);
-  return mini::Request::completed(context().clock().now());
-}
-
-// ---- Persistent collectives -------------------------------------------------
-
-void XcclMpi::note_replay(const Plan& p, CollOp op, std::size_t bytes,
-                          Engine engine, bool fell_back, bool composed,
-                          obs::FallbackReason reason) {
-  ++note_seq_;
-  last_ = Dispatch{engine, fell_back, composed};
-  last_bytes_ = bytes;
-  switch (engine) {
-    case Engine::Xccl:
-      ++stats_.xccl_calls;
-      stats_.xccl_bytes += bytes;
-      break;
-    case Engine::Hier:
-      ++stats_.hier_calls;
-      stats_.hier_bytes += bytes;
-      break;
-    case Engine::Mpi:
-      ++stats_.mpi_calls;
-      stats_.mpi_bytes += bytes;
-      break;
-  }
-  if (fell_back) ++stats_.fallbacks;
-
-  // Same fully-explained record note() builds, but never appended to the
-  // decision ring: the init-time entry already explains the routing and the
-  // replay hot path must not pay the ring lock (seq 0 marks it synthetic).
-  obs::DispatchDecision d;
-  d.rank = rank();
-  d.op = op;
-  d.bytes = bytes;
-  d.mode = p.mode;
-  d.breakpoint = p.pick.breakpoint;
-  d.table_choice = p.pick.table_choice;
-  d.engine = engine;
-  d.reason = reason;
-  d.fell_back = fell_back;
-  d.composed = composed;
-  if (engine == Engine::Hier && p.hier != nullptr) {
-    d.level_path = p.hier->level_path;
-  }
-  d.time_us = context().clock().now();
-  d.seq = 0;
-  last_decision_ = d;
-  current_plan_id_ = p.id;
-  obs::fleet::note_plan(rank(), p.id);
-
-  obs::Registry::instance().record_call(op, engine, rank(), bytes);
-}
-
-Persistent XcclMpi::make_persistent(CollOp op, const void* sendbuf,
-                                    void* recvbuf, std::size_t count,
-                                    mini::Datatype dt, std::size_t rcount,
-                                    mini::Datatype rdt, ReduceOp redop,
-                                    int root, mini::Comm& comm) {
-  const std::size_t bytes = count * dt.size();
-  Persistent h;
-  h.rt_ = this;
-  h.plan_ = plan_for(op, bytes, dt.base, redop, sendbuf, recvbuf, comm);
-  h.op_ = op;
-  h.sendbuf_ = sendbuf;
-  h.recvbuf_ = recvbuf;
-  h.count_ = count;
-  h.rcount_ = rcount;
-  h.dt_ = dt;
-  h.rdt_ = rdt;
-  h.redop_ = redop;
-  h.root_ = root;
-  h.comm_ = &comm;
-  // One init-time decision-log entry explains every subsequent start():
-  // replays update last_decision() but never the ring (see note_replay).
-  obs::DispatchDecision d;
-  d.rank = rank();
-  d.op = op;
-  d.bytes = bytes;
-  d.mode = h.plan_->mode;
-  d.breakpoint = h.plan_->pick.breakpoint;
-  d.table_choice = h.plan_->pick.table_choice;
-  d.engine = h.plan_->pick.engine;
-  d.reason = h.plan_->pick.reason;
-  if (h.plan_->hier != nullptr && h.plan_->hier->usable) {
-    d.level_path = h.plan_->hier->level_path;
-  }
-  d.time_us = context().clock().now();
-  obs::DecisionLog::instance().push(d);
-  return h;
-}
-
-Persistent XcclMpi::allreduce_init(const void* sendbuf, void* recvbuf,
-                                   std::size_t count, mini::Datatype dt,
-                                   ReduceOp op, mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace) sendbuf = recvbuf;
-  return make_persistent(CollOp::Allreduce, sendbuf, recvbuf, count, dt, 0, dt,
-                         op, 0, comm);
-}
-
-Persistent XcclMpi::bcast_init(void* buf, std::size_t count, mini::Datatype dt,
-                               int root, mini::Comm& comm) {
-  return make_persistent(CollOp::Bcast, nullptr, buf, count, dt, 0, dt,
-                         ReduceOp::Sum, root, comm);
-}
-
-Persistent XcclMpi::reduce_init(const void* sendbuf, void* recvbuf,
-                                std::size_t count, mini::Datatype dt,
-                                ReduceOp op, int root, mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace && comm.rank() == root) sendbuf = recvbuf;
-  return make_persistent(CollOp::Reduce, sendbuf, recvbuf, count, dt, 0, dt,
-                         op, root, comm);
-}
-
-Persistent XcclMpi::allgather_init(const void* sendbuf, std::size_t sendcount,
-                                   mini::Datatype st, void* recvbuf,
-                                   std::size_t recvcount, mini::Datatype rt,
-                                   mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace) {
-    sendbuf = cat(recvbuf, static_cast<std::size_t>(comm.rank()) * recvcount *
-                               rt.size());
-    sendcount = recvcount;
-    st = rt;
-  }
-  return make_persistent(CollOp::Allgather, sendbuf, recvbuf, sendcount, st,
-                         recvcount, rt, ReduceOp::Sum, 0, comm);
-}
-
-Persistent XcclMpi::reduce_scatter_init(const void* sendbuf, void* recvbuf,
-                                        std::size_t recvcount,
-                                        mini::Datatype dt, ReduceOp op,
-                                        mini::Comm& comm) {
-  return make_persistent(CollOp::ReduceScatter, sendbuf, recvbuf, recvcount,
-                         dt, 0, dt, op, 0, comm);
-}
-
-void XcclMpi::persistent_start(Persistent& h) {
-  require(h.valid(), "Persistent::start: empty handle (freed or moved-from)");
-  require(!h.started_, "Persistent::start: previous start not yet waited");
-  const Plan& p = *h.plan_;
-  mini::Comm& comm = *h.comm_;
-  const std::size_t bytes = h.count_ * h.dt_.size();
-  device::Stream& stream = context().stream();
-  obs::Span span(rank(), context().clock(), "plan.exec", "core.plan");
-  h.started_ = true;
-
-  // Thin replay of the compiled decision. The xCCL engine launches on the
-  // stream and leaves the request at the stream tail (wait() absorbs it, so
-  // starts overlap compute like iallreduce); the host-driven hier and MPI
-  // engines complete before returning, exactly like the i-collectives.
-  if (p.pick.engine == Engine::Hier) {
-    bool served = false;
-    switch (h.op_) {
-      case CollOp::Allreduce:
-        served = hier_->allreduce(*p.hier, h.sendbuf_, h.recvbuf_, h.count_,
-                                  h.dt_, h.redop_, comm);
-        break;
-      case CollOp::Bcast:
-        served = hier_->bcast(*p.hier, h.recvbuf_, h.count_, h.dt_, h.root_,
-                              comm);
-        break;
-      case CollOp::Reduce:
-        served = hier_->reduce(*p.hier, h.sendbuf_, h.recvbuf_, h.count_,
-                               h.dt_, h.redop_, h.root_, comm);
-        break;
-      case CollOp::Allgather:
-        served = hier_->allgather(*p.hier, h.sendbuf_, h.count_, h.dt_,
-                                  h.recvbuf_, h.rcount_, h.rdt_, comm);
-        break;
-      default:
-        served = hier_->reduce_scatter_block(*p.hier, h.sendbuf_, h.recvbuf_,
-                                             h.count_, h.dt_, h.redop_, comm);
-        break;
-    }
-    if (served) {
-      note_replay(p, h.op_, bytes, Engine::Hier, false, true,
-                  obs::FallbackReason::None);
-      h.req_ = mini::Request::completed(context().clock().now());
-      return;
-    }
-    note_replay(p, h.op_, bytes, Engine::Mpi, true, false,
-                p.hier->usable ? obs::FallbackReason::HierOpUnsupported
-                               : obs::FallbackReason::HierTopoMismatch);
-  } else if (p.pick.engine == Engine::Xccl &&
-             (h.op_ != CollOp::Allgather || h.dt_.size() == h.rdt_.size())) {
-    XcclResult r = XcclResult::Success;
-    switch (h.op_) {
-      case CollOp::Allreduce:
-        r = backend_->all_reduce(h.sendbuf_, h.recvbuf_,
-                                 h.count_ * h.dt_.count, h.dt_.base, h.redop_,
-                                 *p.ccl, stream);
-        break;
-      case CollOp::Bcast:
-        r = backend_->broadcast(h.recvbuf_, h.count_ * h.dt_.count, h.dt_.base,
-                                h.root_, *p.ccl, stream);
-        break;
-      case CollOp::Reduce:
-        r = backend_->reduce(h.sendbuf_, h.recvbuf_, h.count_ * h.dt_.count,
-                             h.dt_.base, h.redop_, h.root_, *p.ccl, stream);
-        break;
-      case CollOp::Allgather:
-        r = backend_->all_gather(h.sendbuf_, h.recvbuf_,
-                                 h.count_ * h.dt_.count, h.dt_.base, *p.ccl,
-                                 stream);
-        break;
-      default:
-        r = backend_->reduce_scatter(h.sendbuf_, h.recvbuf_,
-                                     h.count_ * h.dt_.count, h.dt_.base,
-                                     h.redop_, *p.ccl, stream);
-        break;
-    }
-    if (ok(r)) {
-      note_replay(p, h.op_, bytes, Engine::Xccl, false, false, p.pick.reason);
-      h.req_ = mini::Request::completed(stream.tail());
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::persistent_start: xccl path failed");
-    note_replay(p, h.op_, bytes, Engine::Mpi, true, false,
-                obs::fallback_reason_of(r));
-  } else {
-    note_replay(p, h.op_, bytes, Engine::Mpi, false, false,
-                h.op_ == CollOp::Allgather &&
-                        p.pick.engine == Engine::Xccl
-                    ? obs::FallbackReason::MixedDatatype
-                    : p.pick.reason);
-  }
-
-  switch (h.op_) {
-    case CollOp::Allreduce:
-      h.req_ = mpi_.iallreduce(h.sendbuf_, h.recvbuf_, h.count_, h.dt_,
-                               h.redop_, comm);
-      return;
-    case CollOp::Bcast:
-      h.req_ = mpi_.ibcast(h.recvbuf_, h.count_, h.dt_, h.root_, comm);
-      return;
-    case CollOp::Reduce:
-      mpi_.reduce(h.sendbuf_, h.recvbuf_, h.count_, h.dt_, h.redop_, h.root_,
-                  comm);
-      break;
-    case CollOp::Allgather:
-      mpi_.allgather(h.sendbuf_, h.count_, h.dt_, h.recvbuf_, h.rcount_,
-                     h.rdt_, comm);
-      break;
-    default:
-      mpi_.reduce_scatter_block(h.sendbuf_, h.recvbuf_, h.count_, h.dt_,
-                                h.redop_, comm);
-      break;
-  }
-  h.req_ = mini::Request::completed(context().clock().now());
-}
-
-void XcclMpi::persistent_wait(Persistent& h) {
-  require(h.started_, "Persistent::wait: no start in flight");
-  mpi_.wait(h.req_);
-  h.started_ = false;
 }
 
 }  // namespace mpixccl::core

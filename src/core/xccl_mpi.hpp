@@ -18,10 +18,12 @@
 //   5. Execute: built-in CCL collectives map 1:1 (xcclAllReduce & friends);
 //      everything else (Alltoall(v), Gather(v), Scatter(v), ...) is composed
 //      from xcclSend/xcclRecv inside xcclGroupStart/End (paper Listing 1).
-//   6. Blocking MPI semantics come from synchronizing the stream; the
-//      nonblocking variants (MPI_Iallreduce, ...) return requests that
-//      complete at the stream's tail, preserving communication/compute
-//      overlap in virtual time.
+//   6. One dispatch path: every builtin-backed call (blocking, MPI_I*, or
+//      a persistent start) becomes a CollArgs and runs through
+//      start(plan, args, flavour). Blocking MPI semantics come from
+//      synchronizing the stream; the nonblocking and persistent flavours
+//      return requests that complete at the stream's tail, preserving
+//      communication/compute overlap in virtual time.
 
 #include <cstdint>
 #include <map>
@@ -54,6 +56,53 @@ struct Dispatch {
   Engine engine = Engine::Mpi;
   bool fell_back = false;   ///< chose xccl/hier, bounced back to MPI
   bool composed = false;    ///< served by group send/recv or staged composition
+};
+
+/// How XcclMpi::start completes a call. The flavours differ only where MPI
+/// semantics demand it; hier and MPI complete before returning in all three.
+///
+///   flavour      xCCL stream        request returned     timed  ring-logged
+///   Blocking     synchronized       (discarded)          yes    yes
+///   Nonblocking  left running       stream tail          no     yes
+///   Replay       left running       stream tail          no     no
+///
+/// Replay is a persistent start: its init-time decision-ring entry already
+/// explains the routing, and the replay hot path must not pay the ring lock.
+enum class Flavor : std::uint8_t { Blocking, Nonblocking, Replay };
+
+/// One plan-backed collective call (allreduce, bcast, reduce, allgather,
+/// reduce-scatter). The builders resolve MPI_IN_PLACE, so every engine sees
+/// real buffers whichever flavour runs the call.
+struct CollArgs {
+  CollOp op = CollOp::Allreduce;
+  const void* sendbuf = nullptr;  ///< nullptr for bcast
+  void* recvbuf = nullptr;        ///< bcast: the broadcast buffer
+  std::size_t count = 0;  ///< send side; reduce-scatter: per-rank recv count
+  mini::Datatype dt = mini::kByte;
+  std::size_t rcount = 0;  ///< receive side (differs for allgather only)
+  mini::Datatype rdt = mini::kByte;
+  ReduceOp redop = ReduceOp::Sum;  ///< Sum for non-reducing collectives
+  int root = 0;
+  mini::Comm* comm = nullptr;
+
+  /// The byte count the engine decision is keyed on.
+  [[nodiscard]] std::size_t bytes() const { return count * dt.size(); }
+
+  static CollArgs allreduce(const void* sendbuf, void* recvbuf,
+                            std::size_t count, mini::Datatype dt, ReduceOp op,
+                            mini::Comm& comm);
+  static CollArgs bcast(void* buf, std::size_t count, mini::Datatype dt,
+                        int root, mini::Comm& comm);
+  static CollArgs reduce(const void* sendbuf, void* recvbuf, std::size_t count,
+                         mini::Datatype dt, ReduceOp op, int root,
+                         mini::Comm& comm);
+  static CollArgs allgather(const void* sendbuf, std::size_t sendcount,
+                            mini::Datatype st, void* recvbuf,
+                            std::size_t recvcount, mini::Datatype rt,
+                            mini::Comm& comm);
+  static CollArgs reduce_scatter(const void* sendbuf, void* recvbuf,
+                                 std::size_t recvcount, mini::Datatype dt,
+                                 ReduceOp op, mini::Comm& comm);
 };
 
 /// Per-engine call and byte counters (one XcclMpi instance = one rank's
@@ -341,59 +390,58 @@ class XcclMpi {
   [[nodiscard]] bool any_device_buffer(const void* a, const void* b) const;
 
   // ---- Plan/execute split ---------------------------------------------------
-  /// Fetch the cached plan for this dispatch tuple or build one (resolving
-  /// the CCL communicator / hier splits under a "plan.build" span). The
-  /// build is collective on a cache miss, so lookups must be issued in the
-  /// same order on every member — true for MPI-ordered collectives.
-  std::shared_ptr<const Plan> plan_for(CollOp op, std::size_t bytes,
-                                       DataType base, ReduceOp redop,
-                                       const void* a, const void* b,
-                                       mini::Comm& comm);
+  /// Fetch the cached plan for this call or build one (resolving the CCL
+  /// communicator / hier splits under a "plan.build" span). The build is
+  /// collective on a cache miss, so lookups must be issued in the same
+  /// order on every member — true for MPI-ordered collectives.
+  std::shared_ptr<const Plan> plan_for(const CollArgs& a);
   std::shared_ptr<Plan> build_plan(const PlanKey& key, CollOp op,
                                    std::size_t bytes, mini::Comm& comm);
 
-  // Execute a compiled plan for one collective, preserving the one-shot
-  // dispatch semantics (note(), fallback behavior, stream sync).
-  void exec_allreduce(const Plan& p, const void* sendbuf, void* recvbuf,
-                      std::size_t count, mini::Datatype dt, ReduceOp op,
-                      mini::Comm& comm);
-  void exec_bcast(const Plan& p, void* buf, std::size_t count,
-                  mini::Datatype dt, int root, mini::Comm& comm);
-  void exec_reduce(const Plan& p, const void* sendbuf, void* recvbuf,
-                   std::size_t count, mini::Datatype dt, ReduceOp op, int root,
-                   mini::Comm& comm);
-  void exec_allgather(const Plan& p, const void* sendbuf, std::size_t sendcount,
-                      mini::Datatype st, void* recvbuf, std::size_t recvcount,
-                      mini::Datatype rt, mini::Comm& comm);
-  void exec_reduce_scatter(const Plan& p, const void* sendbuf, void* recvbuf,
-                           std::size_t recvcount, mini::Datatype dt,
-                           ReduceOp op, mini::Comm& comm);
+  /// The single dispatch path for plan-backed calls: run the plan's engine,
+  /// fall back to MPI when it cannot serve the call, and record the outcome.
+  /// `flavor` changes only what Flavor documents.
+  mini::Request start(const Plan& p, const CollArgs& a, Flavor flavor);
+  // One switch per engine mapping CollArgs onto its per-op calls.
+  XcclResult run_xccl(const Plan& p, const CollArgs& a);
+  bool run_hier(const Plan& p, const CollArgs& a);
+  void run_mpi(const CollArgs& a);
 
-  /// Stats/introspection update for a persistent start: everything note()
-  /// does except the DecisionLog append (the init-time decision already
-  /// explains the routing; replays must not pay the ring lock).
-  void note_replay(const Plan& p, CollOp op, std::size_t bytes, Engine engine,
-                   bool fell_back, bool composed, obs::FallbackReason reason);
-
-  Persistent make_persistent(CollOp op, const void* sendbuf, void* recvbuf,
-                             std::size_t count, mini::Datatype dt,
-                             std::size_t rcount, mini::Datatype rdt,
-                             ReduceOp redop, int root, mini::Comm& comm);
-  void persistent_start(Persistent& h);
-  void persistent_wait(Persistent& h);
+  Persistent make_persistent(const CollArgs& a);
 
   /// Get or create (collectively!) the CCL communicator for `comm`.
   xccl::CclComm& ccl_comm(mini::Comm& comm);
 
+  /// What was decided for one dispatch before an engine ran: note() pairs it
+  /// with the outcome. `mode` is the plan's (a persistent handle replays the
+  /// mode it was compiled under).
+  struct Route {
+    CollOp op = CollOp::Allreduce;
+    std::size_t bytes = 0;
+    EnginePick pick;
+    Mode mode = Mode::Hybrid;
+    Flavor flavor = Flavor::Blocking;
+  };
+
   /// Record one fully-explained dispatch: updates last_/last_decision_,
   /// bumps the per-instance counters, and feeds the process-wide metrics
-  /// registry and (when enabled) the decision log.
-  void note(CollOp op, std::size_t bytes, const EnginePick& pick, Engine engine,
-            bool fell_back, bool composed, obs::FallbackReason reason,
-            std::string level_path = {});
-  /// Barrier-only variant (no CollOp for barrier; excluded from the
-  /// decision log and the per-op registry, counted in PathStats only).
-  void note(Engine engine, bool fell_back, bool composed);
+  /// registry and, except for replays, the decision log.
+  void note(const Route& route, Engine engine, bool fell_back, bool composed,
+            obs::FallbackReason reason, std::string level_path = {});
+  /// The per-instance half of note(), alone for barriers (no CollOp:
+  /// excluded from the decision log and the per-op registry).
+  void note(Engine engine, std::size_t bytes, bool fell_back, bool composed);
+  /// The one place an xCCL result is settled. Success synchronizes the
+  /// stream when the call blocks and records the xCCL route; a capability
+  /// error records the MPI fallback and returns false (the caller then runs
+  /// MPI); any other error, or any error with fallback disabled, throws.
+  bool settle_xccl(XcclResult r, const Route& route, bool composed);
+  /// Composed-op dispatch: runs `compose` when the pick says xCCL and
+  /// settles its result, else records the MPI route. False means the caller
+  /// runs the MPI algorithm.
+  template <class Compose>
+  bool composed_xccl(CollOp op, std::size_t bytes, const EnginePick& pick,
+                     Compose&& compose);
 
   /// Scope guard timing one public collective call in virtual time. Records
   /// nothing when the guarded call never reached note() (e.g. it threw
@@ -414,6 +462,12 @@ class XcclMpi {
     std::uint64_t fleet_seq_;  ///< this rank's fleet dispatch seq (arrival key)
   };
 
+  /// Listing 1's frame for the composed collectives: UnsupportedDatatype
+  /// when the backend cannot move either datatype, else `post`'s sends and
+  /// recvs inside one group on `comm`'s CCL communicator, under a span.
+  template <class Post>
+  XcclResult grouped(std::string_view span_name, mini::Datatype st,
+                     mini::Datatype rt, mini::Comm& comm, Post&& post);
   // Composed (send/recv-based) xCCL collectives; return a fallback-able
   // XcclResult (paper Sec. 3.3, Listing 1).
   XcclResult x_alltoallv(const void* sendbuf,
@@ -432,6 +486,11 @@ class XcclMpi {
                         std::span<const std::size_t> displs, mini::Datatype st,
                         void* recvbuf, std::size_t recvcount, mini::Datatype rt,
                         int root, mini::Comm& comm);
+  XcclResult x_allgatherv(const void* sendbuf, std::size_t sendcount,
+                          mini::Datatype st, void* recvbuf,
+                          std::span<const std::size_t> recvcounts,
+                          std::span<const std::size_t> displs,
+                          mini::Datatype rt, mini::Comm& comm);
 
   mini::Mpi mpi_;
   XcclMpiOptions options_;
@@ -457,7 +516,7 @@ class XcclMpi {
   std::map<CollOp, OpProfile> op_profiles_;
 };
 
-/// A compiled persistent collective: one plan plus the bound argument tuple.
+/// A compiled persistent collective: one plan plus the bound CollArgs.
 /// Obtained from XcclMpi::*_init; movable, not copyable. The referenced
 /// XcclMpi, communicator and buffers must outlive the handle (or free() it
 /// first). start()/wait() must alternate; free() releases the plan
@@ -465,38 +524,30 @@ class XcclMpi {
 class Persistent {
  public:
   Persistent() = default;
-  Persistent(Persistent&& o) noexcept { *this = std::move(o); }
-  Persistent& operator=(Persistent&& o) noexcept {
-    rt_ = std::exchange(o.rt_, nullptr);
-    plan_ = std::move(o.plan_);
-    op_ = o.op_;
-    sendbuf_ = o.sendbuf_;
-    recvbuf_ = o.recvbuf_;
-    count_ = o.count_;
-    rcount_ = o.rcount_;
-    dt_ = o.dt_;
-    rdt_ = o.rdt_;
-    redop_ = o.redop_;
-    root_ = o.root_;
-    comm_ = std::exchange(o.comm_, nullptr);
-    started_ = std::exchange(o.started_, false);
-    req_ = std::move(o.req_);
-    return *this;
-  }
+  Persistent(Persistent&&) noexcept = default;
+  Persistent& operator=(Persistent&&) noexcept = default;
   Persistent(const Persistent&) = delete;
   Persistent& operator=(const Persistent&) = delete;
 
-  /// Thin replay of the compiled plan: no tuning lookup, no decision-log
-  /// append, no comm resolution. xCCL launches return with the work on the
-  /// stream; wait() completes it.
-  void start() { rt_->persistent_start(*this); }
-  void wait() { rt_->persistent_wait(*this); }
+  /// Thin replay of the compiled plan (XcclMpi::start with Flavor::Replay):
+  /// no tuning lookup, no decision-log append, no comm resolution. xCCL
+  /// launches return with the work on the stream; wait() completes it.
+  void start() {
+    require(valid(), "Persistent::start: empty handle (freed or moved-from)");
+    require(!started_, "Persistent::start: previous start not yet waited");
+    started_ = true;
+    req_ = rt_->start(*plan_, args_, Flavor::Replay);
+  }
+  void wait() {
+    require(started_, "Persistent::wait: no start in flight");
+    rt_->wait(req_);
+    started_ = false;
+  }
   /// Release the plan reference. Must not be active; safe to call twice.
   void free() {
     require(!started_, "Persistent::free: operation still in flight");
     plan_.reset();
     rt_ = nullptr;
-    comm_ = nullptr;
   }
 
   [[nodiscard]] bool valid() const { return rt_ != nullptr && plan_ != nullptr; }
@@ -508,16 +559,7 @@ class Persistent {
 
   XcclMpi* rt_ = nullptr;
   std::shared_ptr<const Plan> plan_;
-  CollOp op_ = CollOp::Allreduce;
-  const void* sendbuf_ = nullptr;
-  void* recvbuf_ = nullptr;
-  std::size_t count_ = 0;   ///< send count (allgather: per-rank sendcount)
-  std::size_t rcount_ = 0;  ///< allgather/reduce-scatter recv count
-  mini::Datatype dt_ = mini::kByte;
-  mini::Datatype rdt_ = mini::kByte;
-  ReduceOp redop_ = ReduceOp::Sum;
-  int root_ = 0;
-  mini::Comm* comm_ = nullptr;
+  CollArgs args_;
   bool started_ = false;
   mini::Request req_;
 };

@@ -1,15 +1,17 @@
 // Tests for the persistent-collective plan layer: the PlanCache data
 // structure (hit/miss byte bands, LRU eviction, invalidation), the XcclMpi
 // integration (one-shot dispatch populating and hitting the cache, tuning
-// reload invalidation, reset_stats hygiene), and bit-identical results
-// between one-shot and persistent start/wait across all three engines and
-// several topologies.
+// reload invalidation, reset_stats hygiene), and bit-identical results and
+// routing decisions across the blocking, nonblocking and persistent
+// flavours, out-of-place and in-place, on all three engines and several
+// topologies.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/plan.hpp"
@@ -49,11 +51,19 @@ std::shared_ptr<Plan> make_plan(PlanKey key, std::uint64_t id,
 }
 
 /// The three-engine tuning table every integration test routes through.
+/// The other plan-backed ops switch engines at smaller sizes so their
+/// per-rank blocks stay small on 16-rank worlds.
 TuningTable three_engine_table() {
   TuningTable t;
   t.set_rules(CollOp::Allreduce, {{16384, Engine::Mpi},
                                   {1u << 20, Engine::Hier},
                                   {SIZE_MAX, Engine::Xccl}});
+  for (const CollOp op : {CollOp::Bcast, CollOp::Reduce, CollOp::Allgather,
+                          CollOp::ReduceScatter}) {
+    t.set_rules(op, {{1024, Engine::Mpi},
+                     {16384, Engine::Hier},
+                     {SIZE_MAX, Engine::Xccl}});
+  }
   return t;
 }
 
@@ -291,100 +301,203 @@ TEST(PlanRuntime, StartWaitLifecycleIsEnforced) {
   });
 }
 
-// ---- Persistent vs one-shot equivalence -------------------------------------
+// ---- Flavour equivalence: blocking, i* + wait, persistent ------------------
 
-/// Runs every collective both ways on one topology and expects bit-identical
-/// results. The tuning table routes the three allreduce sizes to the three
-/// engines (hier degrades to its fallback on single-node worlds and still
-/// must produce the same bytes).
+enum class Way { Blocking, Nonblocking, Persistent };
+
+/// Issues one collective in flavour `w`: the blocking call, the i* request
+/// waited, or a fresh persistent handle started and waited (twice when
+/// `replays` is 2: a reused handle must reproduce the same bytes).
+template <class Blocking, class Nonblocking, class Init>
+void issue(XcclMpi& rt, Way w, Blocking blocking, Nonblocking nonblocking,
+           Init init, int replays = 1) {
+  switch (w) {
+    case Way::Blocking:
+      blocking();
+      return;
+    case Way::Nonblocking: {
+      mini::Request req = nonblocking();
+      rt.wait(req);
+      return;
+    }
+    case Way::Persistent: {
+      Persistent h = init();
+      for (int i = 0; i < replays; ++i) {
+        h.start();
+        h.wait();
+      }
+      return;
+    }
+  }
+}
+
+/// Runs `call` once per flavour, each into a fresh device buffer holding
+/// `init` (the in-place input, or zeros), and expects every flavour's bytes
+/// and routing decision to match the blocking call's.
+void expect_flavours_agree(XcclMpi& rt, const std::string& what,
+                           const std::vector<float>& init, bool has_i,
+                           const std::function<void(Way, float*)>& call) {
+  const std::size_t bytes = init.size() * sizeof(float);
+  std::vector<float> ref(init.size());
+  obs::DispatchDecision first;
+  for (const Way w : {Way::Blocking, Way::Nonblocking, Way::Persistent}) {
+    if (w == Way::Nonblocking && !has_i) continue;
+    device::DeviceBuffer out(rt.context().device(), bytes);
+    std::memcpy(out.get(), init.data(), bytes);
+    call(w, out.as<float>());
+    const obs::DispatchDecision& d = rt.last_decision();
+    if (w == Way::Blocking) {
+      std::memcpy(ref.data(), out.get(), bytes);
+      first = d;
+      continue;
+    }
+    const std::string where =
+        what + " flavour " + std::to_string(static_cast<int>(w));
+    EXPECT_EQ(std::memcmp(out.get(), ref.data(), bytes), 0) << where;
+    EXPECT_EQ(d.engine, first.engine) << where;
+    EXPECT_EQ(d.reason, first.reason) << where;
+    EXPECT_EQ(d.fell_back, first.fell_back) << where;
+    EXPECT_EQ(d.composed, first.composed) << where;
+    EXPECT_EQ(d.level_path, first.level_path) << where;
+  }
+}
+
+/// Runs every plan-backed collective in every flavour, out-of-place and
+/// in-place, at one size per engine of the three-engine table (hier
+/// degrades to its fallback on single-node worlds and still must agree).
 void check_equivalence(const sim::SystemProfile& prof, int nodes, int dpn) {
   with_runtime(
       prof, nodes, {.tuning = three_engine_table()},
       [](XcclMpi& rt) {
-        auto& dev = rt.context().device();
         auto& comm = rt.comm_world();
         const int rank = rt.rank();
-        const int size = rt.size();
-
-        for (const std::size_t floats :
-             {std::size_t{1024}, std::size_t{65536}, std::size_t{1u << 20}}) {
-          const std::size_t bytes = floats * sizeof(float);
-          device::DeviceBuffer send(dev, bytes);
-          device::DeviceBuffer one(dev, bytes);
-          device::DeviceBuffer per(dev, bytes);
-          for (std::size_t i = 0; i < floats; ++i) {
-            send.as<float>()[i] =
-                static_cast<float>(rank + 1) + static_cast<float>(i % 17);
+        const auto p = static_cast<std::size_t>(rt.size());
+        const mini::Datatype f = mini::kFloat;
+        const auto none = [] { return mini::Request{}; };
+        // Rank-dependent input of n floats (small integers: exact sums).
+        const auto input = [&](std::size_t n) {
+          std::vector<float> v(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            v[i] = static_cast<float>(rank + 1) + static_cast<float>(i % 17);
           }
-          rt.allreduce(send.get(), one.get(), floats, mini::kFloat,
-                       ReduceOp::Sum, comm);
-          Persistent h = rt.allreduce_init(send.as<float>(), per.as<float>(),
-                                           floats, mini::kFloat, ReduceOp::Sum,
-                                           comm);
-          h.start();
-          h.wait();
-          // Replays stay identical (the handle is reusable).
-          h.start();
-          h.wait();
-          EXPECT_EQ(std::memcmp(one.get(), per.get(), bytes), 0)
-              << "allreduce mismatch at " << bytes << " bytes";
+          return v;
+        };
+
+        for (const std::size_t n :
+             {std::size_t{1024}, std::size_t{65536}, std::size_t{1u << 20}}) {
+          const std::string at = " at " + std::to_string(n) + " floats";
+          device::DeviceBuffer src(rt.context().device(), n * sizeof(float));
+          const std::vector<float> in = input(n);
+          std::memcpy(src.get(), in.data(), n * sizeof(float));
+          for (const bool inplace : {false, true}) {
+            const void* s = inplace ? mini::kInPlace : src.get();
+            expect_flavours_agree(
+                rt, (inplace ? "in-place allreduce" : "allreduce") + at,
+                inplace ? in : std::vector<float>(n), true,
+                [&](Way w, float* out) {
+                  issue(
+                      rt, w,
+                      [&] { rt.allreduce(s, out, n, f, ReduceOp::Sum, comm); },
+                      [&] {
+                        return rt.iallreduce(s, out, n, f, ReduceOp::Sum, comm);
+                      },
+                      [&] {
+                        return rt.allreduce_init(s, out, n, f, ReduceOp::Sum,
+                                                 comm);
+                      },
+                      inplace ? 1 : 2);
+                });
+          }
         }
 
-        // The other four collectives at one mid size.
-        const std::size_t n = 4096;
-        device::DeviceBuffer a(dev, n * sizeof(float));
-        device::DeviceBuffer b(dev, n * sizeof(float));
-        for (std::size_t i = 0; i < n; ++i) {
-          a.as<float>()[i] = static_cast<float>(rank * 3 + 1);
-          b.as<float>()[i] = a.as<float>()[i];
-        }
-        rt.bcast(a.get(), n, mini::kFloat, 0, comm);
-        Persistent hb =
-            rt.bcast_init(b.get(), n, mini::kFloat, 0, comm);
-        hb.start();
-        hb.wait();
-        EXPECT_EQ(std::memcmp(a.get(), b.get(), n * sizeof(float)), 0);
+        // The other four at one size per engine: MPI, hier, xCCL.
+        for (const std::size_t n :
+             {std::size_t{64}, std::size_t{1024}, std::size_t{8192}}) {
+          const std::string at = " at " + std::to_string(n) + " floats";
+          const std::vector<float> in = input(n);
+          device::DeviceBuffer src(rt.context().device(),
+                                   n * p * sizeof(float));
+          for (std::size_t b = 0; b < p; ++b) {
+            std::memcpy(src.as<float>() + b * n, in.data(), n * sizeof(float));
+          }
 
-        device::DeviceBuffer r1(dev, n * sizeof(float));
-        device::DeviceBuffer r2(dev, n * sizeof(float));
-        rt.reduce(a.get(), r1.get(), n, mini::kFloat, ReduceOp::Max, 0, comm);
-        Persistent hr = rt.reduce_init(a.as<float>(), r2.as<float>(), n,
-                                       mini::kFloat, ReduceOp::Max, 0, comm);
-        hr.start();
-        hr.wait();
-        if (rank == 0) {
-          EXPECT_EQ(std::memcmp(r1.get(), r2.get(), n * sizeof(float)), 0);
-        }
+          expect_flavours_agree(
+              rt, "bcast" + at, in, true, [&](Way w, float* out) {
+                issue(
+                    rt, w, [&] { rt.bcast(out, n, f, 0, comm); },
+                    [&] { return rt.ibcast(out, n, f, 0, comm); },
+                    [&] { return rt.bcast_init(out, n, f, 0, comm); });
+              });
 
-        const std::size_t per_rank = 512;
-        device::DeviceBuffer g1(dev, per_rank * size * sizeof(float));
-        device::DeviceBuffer g2(dev, per_rank * size * sizeof(float));
-        rt.allgather(a.get(), per_rank, mini::kFloat, g1.get(), per_rank,
-                     mini::kFloat, comm);
-        Persistent hg = rt.allgather_init(a.get(), per_rank, mini::kFloat,
-                                          g2.get(), per_rank, mini::kFloat,
-                                          comm);
-        hg.start();
-        hg.wait();
-        EXPECT_EQ(
-            std::memcmp(g1.get(), g2.get(), per_rank * size * sizeof(float)),
-            0);
+          for (const bool inplace : {false, true}) {
+            const std::string tag = inplace ? "in-place " : "";
+            // In-place reduce: only the root passes MPI_IN_PLACE; the
+            // others still send from src.
+            const bool root_inplace = inplace && rank == 0;
+            expect_flavours_agree(
+                rt, tag + "reduce" + at,
+                inplace ? in : std::vector<float>(n), true,
+                [&](Way w, float* out) {
+                  const void* s = root_inplace ? mini::kInPlace : src.get();
+                  issue(
+                      rt, w,
+                      [&] {
+                        rt.reduce(s, out, n, f, ReduceOp::Max, 0, comm);
+                      },
+                      [&] {
+                        return rt.ireduce(s, out, n, f, ReduceOp::Max, 0, comm);
+                      },
+                      [&] {
+                        return rt.reduce_init(s, out, n, f, ReduceOp::Max, 0,
+                                              comm);
+                      });
+                });
 
-        device::DeviceBuffer s1(dev, per_rank * sizeof(float));
-        device::DeviceBuffer s2(dev, per_rank * sizeof(float));
-        device::DeviceBuffer big(dev, per_rank * size * sizeof(float));
-        for (std::size_t i = 0; i < per_rank * static_cast<std::size_t>(size);
-             ++i) {
-          big.as<float>()[i] = static_cast<float>(rank) + 0.5f;
+            // In-place allgather: this rank's block already sits at its
+            // slot of the receive buffer.
+            std::vector<float> gathered(n * p);
+            if (inplace) {
+              std::memcpy(gathered.data() + n * static_cast<std::size_t>(rank),
+                          in.data(), n * sizeof(float));
+            }
+            const void* gs = inplace ? mini::kInPlace : src.get();
+            expect_flavours_agree(
+                rt, tag + "allgather" + at, gathered, true,
+                [&](Way w, float* out) {
+                  issue(
+                      rt, w,
+                      [&] { rt.allgather(gs, n, f, out, n, f, comm); },
+                      [&] { return rt.iallgather(gs, n, f, out, n, f, comm); },
+                      [&] {
+                        return rt.allgather_init(gs, n, f, out, n, f, comm);
+                      });
+                });
+          }
+
+          expect_flavours_agree(
+              rt, "reduce_scatter" + at, std::vector<float>(n), false,
+              [&](Way w, float* out) {
+                issue(
+                    rt, w,
+                    [&] {
+                      rt.reduce_scatter_block(src.get(), out, n, f,
+                                              ReduceOp::Sum, comm);
+                    },
+                    none,
+                    [&] {
+                      return rt.reduce_scatter_init(src.get(), out, n, f,
+                                                    ReduceOp::Sum, comm);
+                    });
+              });
+          // Reduce-scatter has no in-place form: every flavour rejects it
+          // before any engine sees the sentinel.
+          EXPECT_THROW(rt.reduce_scatter_block(mini::kInPlace, src.get(), n, f,
+                                               ReduceOp::Sum, comm),
+                       Error);
+          EXPECT_THROW(rt.reduce_scatter_init(mini::kInPlace, src.get(), n, f,
+                                              ReduceOp::Sum, comm),
+                       Error);
         }
-        rt.reduce_scatter_block(big.get(), s1.get(), per_rank, mini::kFloat,
-                                ReduceOp::Sum, comm);
-        Persistent hs = rt.reduce_scatter_init(big.as<float>(), s2.as<float>(),
-                                               per_rank, mini::kFloat,
-                                               ReduceOp::Sum, comm);
-        hs.start();
-        hs.wait();
-        EXPECT_EQ(std::memcmp(s1.get(), s2.get(), per_rank * sizeof(float)), 0);
       },
       dpn);
 }

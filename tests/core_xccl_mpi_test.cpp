@@ -145,6 +145,35 @@ TEST(Fallback, DisallowedFallbackThrows) {
                });
 }
 
+TEST(Fallback, AllgathervHonoursAllowFallback) {
+  // MPI_DOUBLE_COMPLEX cannot ride NCCL's send/recv composition: with
+  // fallback on, allgatherv reroutes to MPI and says why; with it off, the
+  // capability error surfaces like every other composed collective's.
+  using C = std::complex<double>;
+  const auto run = [](XcclMpi& rt) {
+    auto& dev = rt.context().device();
+    const auto p = static_cast<std::size_t>(rt.size());
+    device::DeviceBuffer in(dev, 16 * sizeof(C));
+    device::DeviceBuffer out(dev, 16 * p * sizeof(C));
+    for (int i = 0; i < 16; ++i) in.as<C>()[i] = C(rt.rank(), i);
+    std::vector<std::size_t> counts(p, 16);
+    std::vector<std::size_t> displs(p);
+    for (std::size_t r = 0; r < p; ++r) displs[r] = r * 16;
+    rt.allgatherv(in.get(), 16, mini::kDoubleComplex, out.get(), counts,
+                  displs, mini::kDoubleComplex, rt.comm_world());
+    return out.as<C>()[16 * (p - 1) + 5];
+  };
+  with_runtime(sim::thetagpu(), 1, {.mode = Mode::PureXccl}, [&](XcclMpi& rt) {
+    EXPECT_EQ(run(rt), C(rt.size() - 1, 5));
+    EXPECT_EQ(rt.last_decision().engine, Engine::Mpi);
+    EXPECT_TRUE(rt.last_decision().fell_back);
+    EXPECT_EQ(rt.last_decision().reason, obs::FallbackReason::DtypeUnsupported);
+  });
+  with_runtime(sim::thetagpu(), 1,
+               {.mode = Mode::PureXccl, .allow_fallback = false},
+               [&](XcclMpi& rt) { EXPECT_THROW(run(rt), Error); });
+}
+
 TEST(Fallback, ThrowingDispatchRecordsNoSample) {
   // A collective that throws before dispatch completes (allow_fallback=false)
   // must not record a latency/byte sample — previously the op timer's
