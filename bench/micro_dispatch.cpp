@@ -8,6 +8,9 @@
 //   * decision.push         appending one record to the decision ring
 //   * oneshot allreduce     full dispatch per call (cache-hit steady state)
 //   * persistent start/wait the same collective through a prebuilt handle
+//   * fabric pingpong       half round trip of one message between two
+//                           ranks, straight on the fabric endpoints (each
+//                           receive is posted before its send arrives)
 //
 // Emits mpixccl.bench.v1 via MPIXCCL_BENCH_JSON; the committed
 // BENCH_dispatch.json baseline gates regressions through `mpixccl perf diff`
@@ -31,6 +34,7 @@ using namespace mpixccl;
 namespace {
 
 constexpr std::size_t kBytes = 4096;  ///< the size class every series uses
+constexpr fabric::ChannelId kPingChannel = 0x70696e67ull;
 
 double now_ns() {
   return std::chrono::duration<double, std::nano>(
@@ -105,9 +109,45 @@ int main() {
   // per-call dispatch machinery the persistent handle skips.
   double oneshot_ns = 0.0;
   double persistent_ns = 0.0;
+  double pingpong_ns = 0.0;
   fabric::World world(
       fabric::WorldConfig{sim::thetagpu(), 1, /*devices_per_node=*/2});
   world.run([&](fabric::RankContext& ctx) {
+    {
+      // Fabric ping-pong, eager: the per-message cost under every layer.
+      std::vector<std::byte> sbuf(kBytes, std::byte{0x5a});
+      std::vector<std::byte> rbuf(kBytes);
+      const fabric::CostFn cost = [](int, std::size_t) { return 1.0; };
+      const int me = ctx.rank();
+      const int peer = 1 - me;
+      auto& clock = ctx.clock();
+      auto post = [&] {
+        return ctx.endpoint().post_recv(peer, 0, kPingChannel, rbuf.data(),
+                                        kBytes, clock.now(), cost);
+      };
+      auto send = [&] {
+        ctx.endpoint_of(peer)
+            .deliver(me, 0, kPingChannel, sbuf.data(), kBytes, clock.now(),
+                     fabric::SendPolicy{})
+            .wait(clock);
+      };
+      if (me == 0) {
+        pingpong_ns = median_ns(reps, e2e_iters, [&] {
+                        fabric::PendingRecv r = post();
+                        send();
+                        r.wait(clock);
+                      }) /
+                      2;
+      } else {
+        fabric::PendingRecv r = post();
+        for (int i = 0; i < reps * e2e_iters; ++i) {
+          r.wait(clock);
+          if (i + 1 < reps * e2e_iters) r = post();
+          send();
+        }
+      }
+    }
+
     core::XcclMpi rt(ctx, {.tuning = table});
     auto& comm = rt.comm_world();
     device::DeviceBuffer send(ctx.device(), kBytes);
@@ -141,7 +181,8 @@ int main() {
        {"plan_find_hit", {{kBytes, find_ns}}},
        {"decision_push", {{kBytes, push_ns}}},
        {"oneshot_allreduce", {{kBytes, oneshot_ns}}},
-       {"persistent_start_wait", {{kBytes, persistent_ns}}}});
+       {"persistent_start_wait", {{kBytes, persistent_ns}}},
+       {"fabric_pingpong", {{kBytes, pingpong_ns}}}});
 
   std::printf("per-call: oneshot=%.0fns persistent=%.0fns (%.2fx)\n\n",
               oneshot_ns, persistent_ns, oneshot_ns / persistent_ns);

@@ -42,9 +42,13 @@ World::World(WorldConfig config)
       streams_(static_cast<std::size_t>(topo_.world_size()),
                device::Stream(config_.profile.device.stream_sync_us)),
       barrier_(topo_.world_size()) {
+  // Waiters spin before parking only while every rank thread can own a
+  // hardware thread; an oversubscribed world parks at once.
+  const unsigned hw = std::thread::hardware_concurrency();
+  const bool spin = static_cast<unsigned>(topo_.world_size()) <= hw;
   endpoints_.reserve(static_cast<std::size_t>(topo_.world_size()));
   for (int r = 0; r < topo_.world_size(); ++r) {
-    endpoints_.push_back(std::make_unique<Endpoint>(r));
+    endpoints_.push_back(std::make_unique<Endpoint>(r, spin));
   }
   auto& faults = sim::FaultInjector::instance();
   if (!config_.faults.empty()) {

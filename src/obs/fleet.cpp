@@ -849,6 +849,11 @@ bool check_once(const WatchdogConfig& cfg, HangReport& out) {
     }
   }
   if (!any_hung || blame < 0) return false;
+  // The report names the blamed rank and its quiet time, so it must itself
+  // have been quiet past the timeout: a rank that beat more recently is
+  // still progressing (e.g. just finishing the previous collective).
+  const double blame_quiet_ms = static_cast<double>(now - blame_beat) / 1e6;
+  if (blame_quiet_ms <= cfg.timeout_ms) return false;
   {
     std::lock_guard lock(s.mu);
     if (blame == s.last_fired_rank && blame_enter == s.last_fired_seq) {
@@ -860,7 +865,7 @@ bool check_once(const WatchdogConfig& cfg, HangReport& out) {
 
   out.rank = blame;
   out.enter_seq = blame_enter;
-  out.stalled_ms = static_cast<double>(now - blame_beat) / 1e6;
+  out.stalled_ms = blame_quiet_ms;
 
   std::ostringstream os;
   os << "hang detected: rank " << blame << " has "

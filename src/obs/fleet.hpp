@@ -21,10 +21,11 @@
 //  * Hang watchdog — every dispatch beats a per-rank heartbeat slot (last
 //    seq/op/bytes/engine/plan, wall-clock instant). A monitor thread checks
 //    the slots in *real* time (rank threads genuinely block on each other's
-//    futures, so a stalled rank stalls its peers' wall clocks too); past
-//    MPIXCCL_WATCHDOG_TIMEOUT_MS it dumps the heartbeat table, the blamed
-//    rank's decision-ring tail (level path, in-flight plan id) and then
-//    warns or aborts per policy.
+//    fabric completions, so a stalled rank stalls its peers' wall clocks
+//    too). Once some in-flight rank and the blamed (least-progressed) rank
+//    have both been quiet past MPIXCCL_WATCHDOG_TIMEOUT_MS it dumps the
+//    heartbeat table, the blamed rank's decision-ring tail (level path,
+//    in-flight plan id) and then warns or aborts per policy.
 //
 // Skew profiling works in virtual microseconds (deterministic, replayable);
 // only the watchdog reads the wall clock. Everything is off by default:
@@ -239,7 +240,7 @@ struct WatchdogConfig {
 struct HangReport {
   int rank = -1;               ///< blamed (least-progressed) rank
   std::uint64_t enter_seq = 0; ///< dispatches that rank has entered
-  double stalled_ms = 0.0;     ///< wall-clock ms since its last beat
+  double stalled_ms = 0.0;     ///< wall-clock ms since its last beat (> timeout)
   std::string text;            ///< full dump: heartbeat table + decision tail
 };
 

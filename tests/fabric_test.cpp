@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <deque>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "fabric/endpoint.hpp"
@@ -119,6 +123,171 @@ TEST(Endpoint, ZeroByteMessages) {
   sim::VirtualClock clock;
   EXPECT_DOUBLE_EQ(s.wait(clock), 6.0);
   EXPECT_DOUBLE_EQ(r.wait(clock).completion, 7.5);
+}
+
+TEST(Endpoint, PostedReceiveGetsDataWhenSendArrives) {
+  for (const bool rendezvous : {false, true}) {
+    SCOPED_TRACE(rendezvous ? "rendezvous" : "eager");
+    Endpoint ep(1);
+    std::vector<int> out(16, -1);
+    PendingRecv r = ep.post_recv(0, 3, 8, out.data(), out.size() * sizeof(int),
+                                 4.0, flat_cost(1.0, 1e6));
+    EXPECT_EQ(ep.pending_recv_count(), 1u);
+
+    std::vector<int> data(16);
+    std::iota(data.begin(), data.end(), 100);
+    const SendPolicy policy{.rendezvous = rendezvous, .eager_complete_us = 2.0};
+    PendingSend s = ep.deliver(0, 3, 8, data.data(), data.size() * sizeof(int),
+                               6.0, policy);
+    // The match closed inside deliver: nothing was queued as unexpected.
+    EXPECT_EQ(ep.pending_recv_count(), 0u);
+    EXPECT_EQ(ep.unexpected_count(), 0u);
+
+    sim::VirtualClock sc;
+    sim::VirtualClock rc;
+    const RecvResult res = r.wait(rc);
+    EXPECT_EQ(out, data);
+    EXPECT_EQ(res.bytes, data.size() * sizeof(int));
+    EXPECT_EQ(res.src, 0);
+    EXPECT_EQ(res.tag, 3);
+    // base = max(6, 4) = 6; cost = 1 + 64 B / 1e6 MB/s.
+    EXPECT_NEAR(res.completion, 7.0, 1e-4);
+    EXPECT_DOUBLE_EQ(s.wait(sc), rendezvous ? res.completion : 8.0);
+    EXPECT_FALSE(s.valid());
+    EXPECT_FALSE(r.valid());
+  }
+}
+
+TEST(Endpoint, UnexpectedSendSnapshotsPayload) {
+  // A sender may reuse its buffer as soon as deliver returns, before waiting:
+  // the receiver must see the bytes as they were at deliver.
+  for (const bool rendezvous : {false, true}) {
+    SCOPED_TRACE(rendezvous ? "rendezvous" : "eager");
+    Endpoint ep(1);
+    std::vector<char> data(4096, 'a');
+    const SendPolicy policy{.rendezvous = rendezvous, .eager_complete_us = 0.0};
+    PendingSend s = ep.deliver(0, 0, 2, data.data(), data.size(), 0.0, policy);
+    EXPECT_EQ(ep.unexpected_count(), 1u);
+    std::fill(data.begin(), data.end(), 'z');
+
+    std::vector<char> out(data.size());
+    PendingRecv r = ep.post_recv(0, 0, 2, out.data(), out.size(), 0.0,
+                                 flat_cost(0, 1e6));
+    sim::VirtualClock clock;
+    r.wait(clock);
+    s.wait(clock);
+    EXPECT_EQ(std::count(out.begin(), out.end(), 'a'),
+              static_cast<std::ptrdiff_t>(out.size()));
+  }
+}
+
+TEST(Endpoint, TruncationReachesBothSidesInEitherOrder) {
+  for (const bool rendezvous : {false, true}) {
+    for (const bool recv_first : {false, true}) {
+      SCOPED_TRACE(std::string(rendezvous ? "rendezvous" : "eager") +
+                   (recv_first ? ", receive posted first" : ", send first"));
+      Endpoint ep(0);
+      std::vector<char> big(64, 'x');
+      char small[8];
+      const SendPolicy policy{.rendezvous = rendezvous, .eager_complete_us = 1.5};
+      PendingRecv r;
+      PendingSend s;
+      if (recv_first) {
+        r = ep.post_recv(1, 0, 3, small, sizeof(small), 0.0, flat_cost(0, 1));
+        s = ep.deliver(1, 0, 3, big.data(), big.size(), 0.0, policy);
+      } else {
+        s = ep.deliver(1, 0, 3, big.data(), big.size(), 0.0, policy);
+        r = ep.post_recv(1, 0, 3, small, sizeof(small), 0.0, flat_cost(0, 1));
+      }
+      sim::VirtualClock clock;
+      EXPECT_THROW(r.wait(clock), Error);
+      if (rendezvous) {
+        EXPECT_THROW(s.wait(clock), Error);
+      } else {
+        // An eager sender completed at post time and never learns of it.
+        EXPECT_DOUBLE_EQ(s.wait(clock), 1.5);
+      }
+      EXPECT_EQ(ep.unexpected_count(), 0u);
+      EXPECT_EQ(ep.pending_recv_count(), 0u);
+    }
+  }
+}
+
+TEST(World, WildcardReceivesKeepFifoPerSourceTagChannel) {
+  // Every rank streams messages to every peer over two channels and three
+  // tags, mixing eager and rendezvous, and reuses one send buffer (so the
+  // snapshot is exercised too). Each rank receives with wildcard source and
+  // tag, keeping a window of receives in flight. Receives on a channel match
+  // in posting order, so per (src, tag, channel) the sequence numbers must
+  // arrive as 0, 1, 2, ...
+  constexpr int kRanks = 4;
+  constexpr int kIters = 300;
+  constexpr std::size_t kWindow = 8;
+  constexpr ChannelId kChannels[2] = {41, 42};
+  struct Msg {
+    int src, tag, ch, seq;
+    unsigned char fill[48];
+  };
+  World world(WorldConfig{sim::thetagpu(), 1, kRanks, {}, {}});
+  world.run([&](RankContext& ctx) {
+    const int me = ctx.rank();
+    auto& clock = ctx.clock();
+    // next_seq[src][tag][ch]: the next sequence number expected.
+    int next_seq[kRanks][3][2] = {};
+    int sent_seq[kRanks][3][2] = {};
+    std::vector<PendingSend> sends;
+    struct Slot {
+      PendingRecv handle;
+      Msg msg;
+    };
+    std::deque<Slot> window;
+    auto drain_one = [&] {
+      Slot& slot = window.front();
+      const RecvResult res = slot.handle.wait(clock);
+      const Msg& m = slot.msg;
+      ASSERT_EQ(res.bytes, sizeof(Msg));
+      ASSERT_EQ(m.src, res.src);
+      ASSERT_EQ(m.tag, res.tag);
+      ASSERT_EQ(m.fill[47], static_cast<unsigned char>(m.seq));
+      EXPECT_EQ(m.seq, next_seq[m.src][m.tag][m.ch]++)
+          << "rank " << me << " from " << m.src << " tag " << m.tag << " ch "
+          << m.ch;
+      window.pop_front();
+    };
+    Msg out{};
+    for (int i = 0; i < kIters; ++i) {
+      const int ch = i % 2;
+      const int tag = i % 3;
+      const SendPolicy policy{.rendezvous = i % 4 == 0, .eager_complete_us = 0.0};
+      for (int peer = 0; peer < kRanks; ++peer) {
+        if (peer == me) continue;
+        out.src = me;
+        out.tag = tag;
+        out.ch = ch;
+        out.seq = sent_seq[peer][tag][ch]++;
+        std::memset(out.fill, out.seq & 0xff, sizeof(out.fill));
+        sends.push_back(ctx.endpoint_of(peer).deliver(
+            me, tag, kChannels[ch], &out, sizeof(out), clock.now(), policy));
+      }
+      for (int k = 0; k < kRanks - 1; ++k) {
+        if (window.size() == kWindow) drain_one();
+        window.emplace_back();
+        window.back().handle = ctx.endpoint().post_recv(
+            kAnySource, kAnyTag, kChannels[ch], &window.back().msg, sizeof(Msg),
+            clock.now(), flat_cost(0.1, 1e4));
+      }
+    }
+    while (!window.empty()) drain_one();
+    for (auto& s : sends) s.wait(clock);
+    for (int src = 0; src < kRanks; ++src) {
+      if (src == me) continue;
+      int total = 0;
+      for (auto& per_tag : next_seq[src]) total += per_tag[0] + per_tag[1];
+      EXPECT_EQ(total, kIters) << "rank " << me << " from " << src;
+    }
+    EXPECT_EQ(ctx.endpoint().unexpected_count(), 0u);
+    EXPECT_EQ(ctx.endpoint().pending_recv_count(), 0u);
+  });
 }
 
 TEST(World, RunsAllRanksAndPropagatesExceptions) {
